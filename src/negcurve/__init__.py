@@ -16,6 +16,7 @@ from .conditions import (
     check_iii,
     equivalence_probe,
     max_norm_on_ray,
+    pair_margins,
     validate_family,
 )
 from .errors import (

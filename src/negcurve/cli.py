@@ -296,6 +296,32 @@ def cmd_probe(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low`` (argparse exits 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float > 0 (argparse exits 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negcurve",
@@ -326,17 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("search", help="certified configuration search")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--grid", type=float, default=math.pi / 12,
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    p.add_argument("--grid", type=_positive_float, default=math.pi / 12,
                    help="angular grid resolution in radians")
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("probe", help="condition-system agreement probe")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--n", type=_int_at_least(2), default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_probe)

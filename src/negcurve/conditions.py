@@ -40,7 +40,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateCapPairError
-from .klein import CapRep, KleinPoint, Region, cap_angular_distance
+from .klein import CapRep, KleinPoint, Region
 from .lorentz import QuadraticLattice
 
 #: symmetric guard band for all non-strict model-level inequalities
@@ -161,28 +161,62 @@ def check_i(obj: Union[KleinPoint, CapRep]) -> ConditionVerdict:
     )
 
 
-def _pair_delta(c1: CapRep, c2: CapRep) -> float:
-    delta = cap_angular_distance(c1, c2)
-    if delta <= DEGENERATE_DELTA:
-        raise DegenerateCapPairError(
-            "cap feet coincide (angular distance 0); the pair predicates "
-            "degenerate to equality or nesting of the caps"
-        )
-    return delta
+def pair_margins(Z, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular distances and the (ii)/(iii) margins of every pair of caps.
+
+    ``Z`` is a (k, n) array of unit feet and ``theta`` a (k,) array of
+    radii.  Returns three (k, k) arrays: ``delta`` with
+    delta_ij = arccos(z_i . z_j), ``m_ii`` = cos(theta_i) cos(theta_j) -
+    cos(delta_ij) and ``m_iii`` = theta_i + theta_j - delta_ij.  The
+    margins are positive when the condition holds with room to spare;
+    the diagonal carries no meaning.
+    """
+    Z = np.asarray(Z, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    delta = np.arccos(np.clip(Z @ Z.T, -1.0, 1.0))
+    cos_t = np.cos(theta)
+    # the negated value cos(delta) - cos cos, so that a zero keeps its sign
+    m_ii = -(np.cos(delta) - np.multiply.outer(cos_t, cos_t))
+    m_iii = np.add.outer(theta, theta) - delta
+    return delta, m_ii, m_iii
+
+
+def cap_arrays(caps: Sequence[CapRep]) -> tuple[np.ndarray, np.ndarray]:
+    """The feet and radii of ``caps`` as the arrays :func:`pair_margins` takes."""
+    n = caps[0].n if caps else 0
+    return (
+        np.array([cap.z for cap in caps], dtype=float).reshape(len(caps), n),
+        np.array([cap.theta for cap in caps], dtype=float),
+    )
+
+
+def _degenerate_pair_error() -> DegenerateCapPairError:
+    return DegenerateCapPairError(
+        "cap feet coincide (angular distance 0); the pair predicates "
+        "degenerate to equality or nesting of the caps"
+    )
+
+
+def pair_margin(c1: CapRep, c2: CapRep) -> tuple[float, float]:
+    """(m_ii, m_iii) of one pair of caps, from the 1x1 block of
+    :func:`pair_margins`; raises :class:`DegenerateCapPairError` when the
+    feet coincide."""
+    delta, m_ii, m_iii = pair_margins((c1.z, c2.z), (c1.theta, c2.theta))
+    if delta[0, 1] <= DEGENERATE_DELTA:
+        raise _degenerate_pair_error()
+    return float(m_ii[0, 1]), float(m_iii[0, 1])
 
 
 def check_ii(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> ConditionVerdict:
     """cos(delta) <= cos(theta_1) cos(theta_2), with a symmetric guard band."""
-    delta = _pair_delta(c1, c2)
-    value = math.cos(delta) - math.cos(c1.theta) * math.cos(c2.theta)
-    return ConditionVerdict(holds=value <= tol, margin=-value, value=value)
+    margin = pair_margin(c1, c2)[0]
+    return ConditionVerdict(holds=margin >= -tol, margin=margin, value=-margin)
 
 
 def check_iii(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> ConditionVerdict:
     """theta_1 + theta_2 >= delta: the closed caps on S^{n-1} intersect."""
-    delta = _pair_delta(c1, c2)
-    value = c1.theta + c2.theta - delta
-    return ConditionVerdict(holds=value >= -tol, margin=value, value=value)
+    margin = pair_margin(c1, c2)[1]
+    return ConditionVerdict(holds=margin >= -tol, margin=margin, value=margin)
 
 
 @dataclass(frozen=True)
@@ -444,37 +478,45 @@ def _validate_model(fam: ModelFamily, tol: float, collect_all: bool) -> Validati
     if len(fam) == 0:
         raise ValueError("cannot validate an empty family")
     k = len(fam)
-    failures: list[PairVerdict] = []
+    delta, m_ii, m_iii = pair_margins(*cap_arrays(fam.caps))
+    iu, ju = np.triu_indices(k, 1)
+    if np.any(delta[iu, ju] <= DEGENERATE_DELTA):
+        raise _degenerate_pair_error()
+    # one row per pair in row-major order, columns (ii, iii)
+    margins = np.column_stack([m_ii[iu, ju], m_iii[iu, ju]])
+    holds = margins >= -tol
+
+    def pair_records(flat):
+        p, c = np.divmod(flat, 2)
+        return [
+            PairVerdict((i, j), ("ii", "iii")[col], ok, m)
+            for i, j, col, ok, m in zip(
+                iu[p].tolist(), ju[p].tolist(), c.tolist(),
+                holds.ravel()[flat].tolist(), margins.ravel()[flat].tolist(),
+            )
+        ]
+
+    records_i = [
+        PairVerdict((i,), "i", v.holds, float(v.margin))
+        for i, v in enumerate(map(check_i, fam.caps))
+    ]
+    failures = [r for r in records_i if not r.holds]
+    failures += pair_records(np.flatnonzero(~holds))
     records: list[PairVerdict] = []
-    checked = {"i": k, "ii": 0, "iii": 0}
-    min_margins = {"i": math.inf, "ii": math.inf, "iii": math.inf}
+    if collect_all:
+        records = records_i + pair_records(np.arange(margins.size))
 
-    def emit(indices, condition, verdict):
-        rec = PairVerdict(indices, condition, verdict.holds, float(verdict.margin))
-        if not verdict.holds:
-            failures.append(rec)
-        if collect_all:
-            records.append(rec)
-        if verdict.margin < min_margins[condition]:
-            min_margins[condition] = float(verdict.margin)
-
-    for i, cap in enumerate(fam.caps):
-        emit((i,), "i", check_i(cap))
-    for i in range(k):
-        for j in range(i + 1, k):
-            checked["ii"] += 1
-            emit((i, j), "ii", check_ii(fam.caps[i], fam.caps[j], tol))
-            checked["iii"] += 1
-            emit((i, j), "iii", check_iii(fam.caps[i], fam.caps[j], tol))
-
-    overall = not failures
+    min_margins = {"i": min(r.margin for r in records_i)}
+    if len(iu):
+        min_margins["ii"] = float(margins[:, 0].min())
+        min_margins["iii"] = float(margins[:, 1].min())
     return ValidationReport(
         kind="model",
         size=k,
-        overall=overall,
+        overall=not failures,
         failures=failures,
-        checked=checked,
-        min_margins={c: m for c, m in min_margins.items() if m != math.inf},
+        checked={"i": k, "ii": len(iu), "iii": len(iu)},
+        min_margins=min_margins,
         _all_records=records,
     )
 

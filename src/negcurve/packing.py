@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize
 
-from .conditions import TOL_BOUNDARY, ModelFamily
+from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
 from .klein import CapRep, cap_angular_distance
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
@@ -93,17 +93,21 @@ class BallSystem:
         other open ball (delta_ij >= radius_j) and the closed balls
         intersect (delta_ij <= radius_i + radius_j).
         """
-        bad = []
         k = len(self.balls)
         r = self.radii
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = self.dist[i, j]
-                if d < max(r[i], r[j]) - tol:
-                    bad.append((i, j, "center-inside"))
-                if d > r[i] + r[j] + tol:
-                    bad.append((i, j, "disjoint-closures"))
-        return bad
+        iu, ju = np.triu_indices(k, 1)
+        d = self.dist[iu, ju]
+        # one row per pair in row-major order, columns in the order reported
+        bad = np.column_stack([
+            d < np.maximum(r[iu], r[ju]) - tol,
+            d > r[iu] + r[ju] + tol,
+        ])
+        p, which = np.divmod(np.flatnonzero(bad), 2)
+        kinds = ("center-inside", "disjoint-closures")
+        return [
+            (i, j, kinds[w])
+            for i, j, w in zip(iu[p].tolist(), ju[p].tolist(), which.tolist())
+        ]
 
 
 def ball_system_from_points(points, radii) -> BallSystem:
@@ -159,16 +163,16 @@ def reduce_ii_star(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> list[tuple[tu
     condition (ii) implies this reduced form.
     """
     _require_hemisphere(fam, tol)
-    out = []
     k = len(fam)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            delta = cap_angular_distance(fam.caps[i], fam.caps[j])
-            margin = delta - fam.caps[i].theta
-            out.append(((i, j), margin >= -tol, margin))
-    return out
+    z, theta = cap_arrays(fam.caps)
+    delta = pair_margins(z, theta)[0]
+    margin = delta - theta[:, None]
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    m = margin[i, j]
+    return [
+        ((a, b), ok, x)
+        for a, b, ok, x in zip(i.tolist(), j.tolist(), (m >= -tol).tolist(), m.tolist())
+    ]
 
 
 def to_ball_system(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> BallSystem:

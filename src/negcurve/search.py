@@ -20,15 +20,20 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from ._runtime import thread_count
-from .conditions import TOL_BOUNDARY, ModelFamily, check_ii, check_iii
-from .errors import DegenerateCapPairError
+from .conditions import (
+    DEGENERATE_DELTA,
+    TOL_BOUNDARY,
+    ModelFamily,
+    cap_arrays,
+    pair_margin,
+    pair_margins,
+)
+from .errors import DegenerateCapPairError, NumericalError
 from .klein import CapRep
 from .packing import total_bound
 
@@ -150,9 +155,20 @@ def compatible(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> bool:
     the compatibility graph).
     """
     try:
-        return check_ii(c1, c2, tol).holds and check_iii(c1, c2, tol).holds
+        m_ii, m_iii = pair_margin(c1, c2)
     except DegenerateCapPairError:
         return False
+    return m_ii >= -tol and m_iii >= -tol
+
+
+def _compatibility_matrix(caps: list[CapRep], tol: float) -> np.ndarray:
+    """The relation :func:`compatible` over all pairs, as a symmetric (k, k)
+    boolean matrix with a false diagonal."""
+    delta, m_ii, m_iii = pair_margins(*cap_arrays(caps))
+    ok = (delta > DEGENERATE_DELTA) & (m_ii >= -tol) & (m_iii >= -tol)
+    # the verdict of the pair i < j decides both entries
+    ok = np.triu(ok, 1)
+    return ok | ok.T
 
 
 def certify(caps: ModelFamily, digits: int = CERTIFY_DPS) -> Certificate:
@@ -295,10 +311,14 @@ def _greedy_order(caps: list[CapRep]) -> list[int]:
 
 
 def _greedy_clique(caps: list[CapRep], tol: float) -> list[int]:
+    adj = _compatibility_matrix(caps, tol)
+    # candidates compatible with every cap chosen so far
+    open_ = np.ones(len(caps), dtype=bool)
     chosen: list[int] = []
     for idx in _greedy_order(caps):
-        if all(compatible(caps[idx], caps[j], tol) for j in chosen):
+        if open_[idx]:
             chosen.append(idx)
+            open_ &= adj[idx]
     return chosen
 
 
@@ -312,23 +332,18 @@ def _config_key(caps: list[CapRep]) -> str:
 
 def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
     """Best greedy clique over ``restarts`` independently seeded candidate
-    draws; deterministic for a fixed seed regardless of thread scheduling
-    (the reduction is max by size with certificate-hash tie-break)."""
+    draws; deterministic for a fixed seed (the reduction is max by size
+    with certificate-hash tie-break).
+
+    Raises :class:`NumericalError` if the result exceeds the counting
+    bound ``total_bound(n).total``, which no valid family can.
+    """
     t0 = time.perf_counter()
-    seeds = np.random.SeedSequence(params.seed).spawn(params.restarts)
-
-    def run(seq) -> tuple[int, str, list[CapRep]]:
-        rng = np.random.default_rng(seq)
-        caps = candidate_caps(params, rng)
+    outcomes = []
+    for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
+        caps = candidate_caps(params, np.random.default_rng(seq))
         picked = [caps[i] for i in _greedy_clique(caps, tol)]
-        return len(picked), _config_key(picked), picked
-
-    workers = min(thread_count(), params.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, seeds))
-    else:
-        outcomes = [run(s) for s in seeds]
+        outcomes.append((len(picked), _config_key(picked), picked))
     size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
 
     family = ModelFamily(best_caps)
@@ -341,7 +356,7 @@ def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
     )
     limit = total_bound(params.n).total
     if result.size > limit:
-        raise AssertionError(
+        raise NumericalError(
             f"search produced {result.size} caps, above the counting bound {limit}"
         )
     return result
@@ -352,14 +367,11 @@ def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 def _adjacency_masks(caps: list[CapRep], tol: float) -> list[int]:
-    k = len(caps)
-    masks = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if compatible(caps[i], caps[j], tol):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    """Row i of the compatibility matrix as a Python-int bitset (bit j set
+    when caps i and j are compatible); Python ints, since numpy shifts
+    overflow past bit 63."""
+    rows = np.packbits(_compatibility_matrix(caps, tol), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _max_clique_bitset(masks: list[int]) -> list[int]:

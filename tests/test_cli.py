@@ -181,6 +181,24 @@ def test_probe_small(capsys):
     assert out["outputs"]["disagreements"]["II/ii"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "1"],
+        ["search", "--n", "3", "--restarts", "0"],
+        ["search", "--n", "3", "--grid", "0"],
+        ["probe", "--n", "1"],
+        ["probe", "--samples", "0"],
+    ],
+    ids=["search-n", "search-restarts", "search-grid", "probe-n", "probe-samples"],
+)
+def test_out_of_range_arguments_are_malformed_input(argv):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1
+
+
 def test_reports_byte_identical_across_processes(tmp_path):
     a = run_cli(["search", "--n", "2", "--seed", "11", "--restarts", "2"])
     b = run_cli(["search", "--n", "2", "--seed", "11", "--restarts", "2"])

@@ -12,14 +12,17 @@ from negcurve.conditions import (
     check_i,
     check_ii,
     check_iii,
+    cap_arrays,
     equivalence_probe,
     max_norm_on_ray,
+    pair_margins,
     positive_combination_witness,
     validate_family,
 )
 from negcurve.errors import DegenerateCapPairError
 from negcurve.klein import CapRep, cap_of, point_of, project
 from negcurve.lorentz import QuadraticLattice, embed_class, signature
+from negcurve.search import SearchParams, candidate_caps
 
 RNG = np.random.default_rng(2024)
 
@@ -213,6 +216,124 @@ def test_degenerate_pair_rejected():
         check_ii(a, b)
     with pytest.raises(DegenerateCapPairError):
         check_iii(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the pair kernel against a scalar oracle
+# ---------------------------------------------------------------------------
+
+def scalar_pair(a, b, tol=1e-9):
+    """Independent oracle: delta and the (ii)/(iii) verdicts and margins of
+    one pair, in plain floats; None for coincident feet."""
+    dot = sum(x * y for x, y in zip(a.z, b.z))
+    delta = math.acos(min(1.0, max(-1.0, dot)))
+    if delta <= 1e-12:
+        return None
+    m_ii = math.cos(a.theta) * math.cos(b.theta) - math.cos(delta)
+    m_iii = a.theta + b.theta - delta
+    return delta, (m_ii >= -tol, m_ii), (m_iii >= -tol, m_iii)
+
+
+def scalar_records(caps, tol=1e-9):
+    """The (indices, condition, holds) records of a model validation, in
+    report order: elements first, then pairs row-major with ii before iii."""
+    out = [((i,), "i", True) for i in range(len(caps))]
+    for i in range(len(caps)):
+        for j in range(i + 1, len(caps)):
+            _, ii, iii = scalar_pair(caps[i], caps[j], tol)
+            out.append(((i, j), "ii", ii[0]))
+            out.append(((i, j), "iii", iii[0]))
+    return out
+
+
+def mixed_caps(rng, n, k):
+    """Random caps with theta across (0, pi): many pairs have theta > pi/2
+    and theta_i + theta_j > pi."""
+    z = rng.normal(size=(k, n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    theta = rng.uniform(0.05, math.pi - 0.05, size=k)
+    return [CapRep(z=tuple(map(float, a)), theta=float(t)) for a, t in zip(z, theta)]
+
+
+def assert_kernel_matches_oracle(caps):
+    arrays = pair_margins(*cap_arrays(caps))
+    for a in arrays:
+        assert np.array_equal(a, a.T)
+    # the diagonal carries no meaning
+    delta, m_ii, m_iii = (a.tolist() for a in arrays)
+    for i in range(len(caps)):
+        for j in range(i + 1, len(caps)):
+            ref = scalar_pair(caps[i], caps[j])
+            if ref is None:
+                assert delta[i][j] <= 1e-12
+                continue
+            assert (m_ii[i][j] >= -1e-9) == ref[1][0]
+            assert (m_iii[i][j] >= -1e-9) == ref[2][0]
+            # arccos magnifies the last bit of a dot product near +-1 to
+            # ~1.5e-8 (feet a grid step apart or antipodal); elsewhere
+            # the two agree to a few ulps
+            near_end = abs(abs(math.cos(ref[0])) - 1.0) < 1e-6
+            err = 3e-8 if near_end else 1e-13
+            assert abs(delta[i][j] - ref[0]) <= err
+            assert abs(m_ii[i][j] - ref[1][1]) <= err
+            assert abs(m_iii[i][j] - ref[2][1]) <= err
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, math.pi / 8, 0.3])
+def test_pair_kernel_matches_oracle_on_candidate_sets(n, grid):
+    # the theta = pi/2 grids are full of exact ties at the guard band
+    caps = candidate_caps(SearchParams(n=n, candidate_grid=grid), np.random.default_rng(3))
+    assert_kernel_matches_oracle(caps)
+    report = validate_family(ModelFamily(caps))
+    expected = [r for r in scalar_records(caps) if not r[2]]
+    assert [(f.indices, f.condition, f.holds) for f in report.failures] == expected
+
+
+def test_pair_kernel_matches_oracle_on_large_caps():
+    caps = mixed_caps(np.random.default_rng(8), 3, 60)
+    thetas = [c.theta for c in caps]
+    assert max(thetas) > math.pi / 2
+    assert any(a + b > math.pi for a in thetas for b in thetas)
+    assert_kernel_matches_oracle(caps)
+
+
+def test_validate_model_record_order_matches_oracle():
+    caps = mixed_caps(np.random.default_rng(9), 4, 25)
+    report = validate_family(ModelFamily(caps), collect_all=True)
+    records = list(report.verdicts)
+    expected = scalar_records(caps)
+    assert [(r.indices, r.condition, r.holds) for r in records] == expected
+    assert [(f.indices, f.condition, f.holds) for f in report.failures] == [
+        r for r in expected if not r[2]
+    ]
+    assert report.checked == {"i": 25, "ii": 300, "iii": 300}
+    assert all(type(r.margin) is float and type(r.holds) is bool for r in records)
+    for cond in ("i", "ii", "iii"):
+        assert report.min_margins[cond] == min(
+            r.margin for r in records if r.condition == cond
+        )
+    blob = report.to_json_dict()
+    assert len(blob["verdicts"]) == 25 + 600
+
+
+def test_validate_model_degenerate_pair_raises():
+    caps = [
+        CapRep(z=(0.0, 1.0), theta=1.0),
+        CapRep(z=(1.0, 0.0), theta=0.3),
+        CapRep(z=(1.0, 0.0), theta=0.7),
+    ]
+    with pytest.raises(DegenerateCapPairError):
+        validate_family(ModelFamily(caps))
+    with pytest.raises(DegenerateCapPairError):
+        validate_family(ModelFamily(caps), collect_all=True)
+
+
+def test_validate_model_single_cap():
+    report = validate_family(ModelFamily([CapRep(z=(1.0, 0.0), theta=0.4)]))
+    assert report.overall
+    assert report.checked == {"i": 1, "ii": 0, "iii": 0}
+    assert set(report.min_margins) == {"i"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from negcurve.conditions import ModelFamily, check_ii
 from negcurve.klein import CapRep
 from negcurve.packing import (
+    Ball,
+    BallSystem,
     ball_system_from_points,
     cap_fraction,
     cone_separation_infimum,
@@ -110,6 +112,54 @@ def test_full_condition_implies_reduced():
         count += 1
         fam = ModelFamily([a, b])
         assert all(ok for _, ok, _ in reduce_ii_star(fam))
+
+
+def small_caps(rng, n, k):
+    z = rng.normal(size=(k, n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    theta = rng.uniform(0.05, HALF, size=k)
+    return [CapRep(z=tuple(map(float, a)), theta=float(t)) for a, t in zip(z, theta)]
+
+
+def test_reduce_ii_star_matches_scalar_oracle():
+    caps = small_caps(np.random.default_rng(12), 3, 40)
+    out = reduce_ii_star(ModelFamily(caps))
+    expected = []
+    for i, a in enumerate(caps):
+        for j, b in enumerate(caps):
+            if i != j:
+                dot = sum(x * y for x, y in zip(a.z, b.z))
+                margin = math.acos(min(1.0, max(-1.0, dot))) - a.theta
+                expected.append(((i, j), margin >= -1e-9, margin))
+    assert [(idx, ok) for idx, ok, _ in out] == [(idx, ok) for idx, ok, _ in expected]
+    assert not all(ok for _, ok, _ in out)
+    for (_, _, got), (_, _, want) in zip(out, expected):
+        assert type(got) is float and got == pytest.approx(want, abs=1e-12)
+
+
+def test_check_valid_matches_scalar_oracle():
+    rng = np.random.default_rng(13)
+    caps = small_caps(rng, 3, 40)
+    z = np.array([c.z for c in caps])
+    dist = np.arccos(np.clip(z @ z.T, -1.0, 1.0))
+    # a few exact ties at both bounds of the guard-banded tests
+    dist[0, 1] = dist[1, 0] = max(caps[0].theta, caps[1].theta)
+    dist[2, 3] = dist[3, 2] = caps[2].theta + caps[3].theta
+    system = BallSystem(
+        balls=tuple(Ball(center=c.z, radius=c.theta) for c in caps), dist=dist, n=3
+    )
+    expected = []
+    for i in range(40):
+        for j in range(i + 1, 40):
+            ri, rj = caps[i].theta, caps[j].theta
+            if dist[i, j] < max(ri, rj) - 1e-9:
+                expected.append((i, j, "center-inside"))
+            if dist[i, j] > ri + rj + 1e-9:
+                expected.append((i, j, "disjoint-closures"))
+    got = system.check_valid()
+    assert got == expected
+    assert {w for _, _, w in got} == {"center-inside", "disjoint-closures"}
+    assert all(type(i) is int and type(j) is int for i, j, _ in got)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +503,26 @@ def test_valid_far_pair_below_full_cone_constant():
 
 def random_sequential_packing(rng, n, restarts):
     """Greedy random packings of spacing-1 points in the open radius-2 ball,
-    always containing the origin; returns the best count."""
-    best = 0
-    for _ in range(restarts):
-        pts = [np.zeros(n)]
-        for _ in range(40):
-            cand = rng.uniform(-2.0, 2.0, size=n)
-            r = np.linalg.norm(cand)
-            if r >= 2.0:
-                continue
-            if all(np.linalg.norm(cand - p) >= 1.0 for p in pts):
-                pts.append(cand)
-        best = max(best, len(pts))
-    return best
+    always containing the origin; returns the best count.
+
+    Each restart offers 40 uniform candidates in turn and keeps a candidate
+    inside the ball at distance >= 1 from every point kept so far.  The
+    restarts run side by side; the one draw of shape (restarts, 40, n) is
+    the stream of per-candidate draws in order.
+    """
+    cands = rng.uniform(-2.0, 2.0, size=(restarts, 40, n))
+    pts = np.zeros((restarts, 41, n))  # slot 0 holds the origin
+    count = np.ones(restarts, dtype=int)
+    for t in range(40):
+        cand = cands[:, t]
+        inside = np.linalg.norm(cand, axis=1) < 2.0
+        used = count.max()
+        apart = np.linalg.norm(pts[:, :used] - cand[:, None, :], axis=2) >= 1.0
+        empty = np.arange(used) >= count[:, None]
+        keep = inside & np.all(apart | empty, axis=1)
+        pts[keep, count[keep]] = cand[keep]
+        count += keep
+    return int(count.max())
 
 
 def test_near_packing_respects_volume_bound():

@@ -1,13 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from negcurve import search
+from negcurve.cli import main
 from negcurve.conditions import ModelFamily
+from negcurve.errors import NumericalError
 from negcurve.klein import CapRep
 from negcurve.packing import total_bound
 from negcurve.search import (
     SearchParams,
+    _adjacency_masks,
+    _greedy_clique,
+    _greedy_order,
     candidate_caps,
     certify,
     compatible,
@@ -130,12 +137,11 @@ def test_greedy_monotone_in_restarts():
     assert sizes == sorted(sizes)
 
 
-def test_greedy_respects_thread_env(monkeypatch):
-    params = SearchParams(n=2, seed=5, restarts=4)
-    base = greedy_max(params).to_json_dict()
-    monkeypatch.setenv("NEGCURVE_THREADS", "4")
-    threaded = greedy_max(params).to_json_dict()
-    assert base == threaded
+def test_greedy_above_counting_bound_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(search, "total_bound", lambda n: SimpleNamespace(total=1))
+    with pytest.raises(NumericalError, match="above the counting bound 1"):
+        greedy_max(SearchParams(n=2, seed=5, restarts=1))
+    assert main(["search", "--n", "2", "--restarts", "1"]) == 3
 
 
 def test_exact_max_square_with_blocker():
@@ -198,3 +204,65 @@ def test_search_result_json_excludes_elapsed():
     blob = greedy_max(params).to_json_dict()
     assert "elapsed" not in blob
     assert blob["size"] == len(blob["caps"])
+
+
+# ---------------------------------------------------------------------------
+# the compatibility graph against a scalar oracle
+# ---------------------------------------------------------------------------
+
+def scalar_compatible(a, b, tol=1e-9):
+    """Independent oracle: (ii) and (iii) from one dot product, in plain
+    floats; coincident feet are incompatible."""
+    dot = sum(x * y for x, y in zip(a.z, b.z))
+    delta = math.acos(min(1.0, max(-1.0, dot)))
+    if delta <= 1e-12:
+        return False
+    ok_ii = math.cos(delta) - math.cos(a.theta) * math.cos(b.theta) <= tol
+    ok_iii = a.theta + b.theta - delta >= -tol
+    return ok_ii and ok_iii
+
+
+def scalar_graph(caps):
+    k = len(caps)
+    compat = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            compat[i][j] = compat[j][i] = scalar_compatible(caps[i], caps[j])
+    return compat
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, math.pi / 8, 0.3])
+def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
+    params = SearchParams(n=n, candidate_grid=grid)
+    caps = candidate_caps(params, np.random.default_rng(17))
+    compat = scalar_graph(caps)
+    masks = _adjacency_masks(caps, 1e-9)
+    k = len(caps)
+    for i in range(k):
+        assert masks[i] == sum(1 << j for j in range(k) if compat[i][j])
+
+    chosen = []
+    for idx in _greedy_order(caps):
+        if all(compat[idx][j] for j in chosen):
+            chosen.append(idx)
+    assert _greedy_clique(caps, 1e-9) == chosen
+
+
+def test_adjacency_masks_past_bit_63():
+    # the first cap faces feet 64..69 across the circle, so its row needs
+    # bits past 63 (foot 35 coincides with it)
+    caps = [circle_cap(math.pi)] + [circle_cap(2 * math.pi * t / 70) for t in range(1, 70)]
+    masks = _adjacency_masks(caps, 1e-9)
+    compat = scalar_graph(caps)
+    assert all(compat[0][j] for j in range(64, 70)) and not compat[0][35]
+    for i in range(70):
+        assert masks[i] == sum(1 << j for j in range(70) if compat[i][j])
+        assert masks[i] < 1 << 70
+
+
+def test_compatibility_excludes_coincident_feet():
+    caps = [circle_cap(0.0), circle_cap(HALF), CapRep(z=(1.0, 0.0), theta=0.3)]
+    masks = _adjacency_masks(caps, 1e-9)
+    assert masks[0] >> 2 & 1 == 0 and masks[2] & 1 == 0
+    assert masks[0] >> 1 & 1 == 1
