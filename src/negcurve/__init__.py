@@ -22,6 +22,7 @@ from .conditions import (
 from .errors import (
     DegenerateCapPairError,
     InputError,
+    InvalidFamilyError,
     NegCurveError,
     NumericalError,
     SignatureError,
@@ -54,6 +55,7 @@ from .packing import (
     ball_system_from_points,
     cap_fraction,
     far_bound,
+    far_cap_measure,
     far_cone_angle,
     hemisphere_filter,
     near_bound,

@@ -34,7 +34,13 @@ from .conditions import (
     equivalence_probe,
     validate_family,
 )
-from .errors import InputError, NegCurveError, NumericalError, SignatureError
+from .errors import (
+    InputError,
+    InvalidFamilyError,
+    NegCurveError,
+    NumericalError,
+    SignatureError,
+)
 from .klein import Region, cap_of, figure_streams, project
 from .lorentz import QuadraticLattice, embed_class
 from .packing import (
@@ -377,6 +383,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except InvalidFamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

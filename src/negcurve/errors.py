@@ -32,6 +32,11 @@ class DegenerateCapPairError(NegCurveError, ValueError):
     """
 
 
+class InvalidFamilyError(NegCurveError, ValueError):
+    """A family breaks a pair condition a later stage relies on (CLI exit
+    code 1)."""
+
+
 class InputError(NegCurveError, ValueError):
     """Malformed input document (CLI exit code 2)."""
 

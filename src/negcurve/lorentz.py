@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SignatureError
+from .errors import NumericalError, SignatureError
 
 #: relative guard band for classifying a float norm as zero
 DEFAULT_SIGN_TOL = 1e-9
@@ -162,7 +162,14 @@ class QuadraticLattice:
         return len(self.gram)
 
     def gram_array(self) -> np.ndarray:
-        return np.array(self.gram, dtype=np.int64)
+        """The Gram matrix as int64, for the floating-point path; the exact
+        predicates work on ``gram`` and accept any entry size."""
+        try:
+            return np.array(self.gram, dtype=np.int64)
+        except OverflowError as exc:
+            raise NumericalError(
+                "Gram entries exceed the int64 range of the floating-point path"
+            ) from exc
 
     def pairing(self, c1: Sequence[int], c2: Sequence[int]) -> int:
         """Exact intersection pairing c1^T G c2 in Python integers."""
@@ -225,10 +232,12 @@ def standardize(lat: QuadraticLattice) -> StandardizingMap:
     # M^{-1} = J M^T G, avoiding a general inverse
     inv = minkowski_matrix(lat.rank) @ m.T @ g
     smap = StandardizingMap(matrix=m, inverse=inv)
-    if smap.residual(lat) > STANDARDIZE_TOL:
-        raise SignatureError(
-            signature(lat.gram),
-            message="standardization residual exceeded tolerance",
+    # the signature was verified exactly, so a large residual is a
+    # floating-point failure of the map, not a bad input
+    residual = smap.residual(lat)
+    if residual > STANDARDIZE_TOL:
+        raise NumericalError(
+            f"standardization residual {residual:.3g} exceeded tolerance {STANDARDIZE_TOL:g}"
         )
     return smap
 

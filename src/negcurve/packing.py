@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
-from scipy import integrate, optimize
 
 from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
+from .errors import InvalidFamilyError, NumericalError
 from .klein import CapRep, cap_angular_distance
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
@@ -179,7 +181,8 @@ def to_ball_system(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> BallSystem:
     """Transcribe caps into balls: radii = theta, distances = delta.
 
     Rejects families violating the reduced center condition or the
-    touching condition, naming the offending pair.
+    touching condition with :class:`InvalidFamilyError`, naming the
+    offending pair.
     """
     _require_hemisphere(fam, tol)
     k = len(fam)
@@ -191,12 +194,12 @@ def to_ball_system(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> BallSystem:
             delta = cap_angular_distance(fam.caps[i], fam.caps[j])
             ti, tj = fam.caps[i].theta, fam.caps[j].theta
             if delta < max(ti, tj) - tol:
-                raise ValueError(
+                raise InvalidFamilyError(
                     f"pair ({i}, {j}) violates the center condition: "
                     f"delta = {delta:.6f} < max theta = {max(ti, tj):.6f}"
                 )
             if delta > ti + tj + tol:
-                raise ValueError(
+                raise InvalidFamilyError(
                     f"pair ({i}, {j}) violates the touching condition: "
                     f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
                 )
@@ -293,9 +296,24 @@ def far_cone_angle() -> float:
     return 2.0 * math.atan(math.sqrt(15.0) / 7.0)
 
 
+#: cos of the far half-aperture arccos(7/8), as an exact rational
+FAR_COS = Fraction(7, 8)
+
+#: decimal digits kept beyond the integer part of the even-n reciprocal
+FAR_GUARD_DIGITS = 30
+
+
+def _half_betainc(n: int, sin2) -> mpmath.mpf:
+    """I_{sin^2 alpha}((n-1)/2, 1/2) / 2, the measure of a cap of angular
+    radius alpha <= pi/2 on S^(n-1) (Li 2011), at the working precision."""
+    return mpmath.betainc(
+        mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, sin2, regularized=True
+    ) / 2
+
+
 def cap_fraction(n: int, alpha: float) -> float:
     """Normalized surface measure of a spherical cap of angular radius
-    ``alpha`` on S^(n-1), by quadrature of sin^(n-2)."""
+    ``alpha`` on S^(n-1), by the regularized incomplete beta function."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < alpha <= math.pi:
@@ -305,24 +323,62 @@ def cap_fraction(n: int, alpha: float) -> float:
         return 0.5 if alpha < math.pi else 1.0
     if n == 2:
         return alpha / math.pi
-    power = n - 2
-    num, num_err = integrate.quad(
-        lambda t: math.sin(t) ** power, 0.0, alpha, epsabs=0.0, epsrel=1e-12
-    )
-    den, den_err = integrate.quad(
-        lambda t: math.sin(t) ** power, 0.0, math.pi, epsabs=0.0, epsrel=1e-12
-    )
-    return num / den
+    with mpmath.workdps(30):
+        # sin^2 is symmetric about pi/2; a cap past it is the complement
+        half = _half_betainc(n, mpmath.sin(mpmath.mpf(alpha)) ** 2)
+        return float(half if alpha <= math.pi / 2 else 1 - half)
+
+
+def far_cap_measure(n: int) -> Fraction:
+    """Exact measure of the cap of angular radius arccos(7/8) on S^(n-1),
+    odd n >= 3.
+
+    With u = cos t the measure is int_c^1 (1-u^2)^k du over
+    int_{-1}^1 (1-u^2)^k du, k = (n-3)/2, a ratio of polynomials in
+    c = 7/8.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    k = (n - 3) // 2
+    coef = [Fraction((-1) ** j * math.comb(k, j), 2 * j + 1) for j in range(k + 1)]
+
+    def antiderivative(u: Fraction) -> Fraction:
+        return sum(a * u ** (2 * j + 1) for j, a in enumerate(coef))
+
+    top = antiderivative(Fraction(1))
+    return (top - antiderivative(FAR_COS)) / (2 * top)
 
 
 @lru_cache(maxsize=None)
 def far_bound(n: int) -> int:
-    """Count of pairwise-separated far directions: ceil of the reciprocal
-    cap fraction at radius half the exclusion-cone aperture."""
+    """Count of pairwise-separated far directions: the exact ceiling of the
+    reciprocal cap measure at radius arccos(7/8), half the exclusion-cone
+    aperture.
+
+    Odd n uses the rational measure.  Even n evaluates it with at least
+    FAR_GUARD_DIGITS digits past the integer part of the reciprocal, and
+    refuses a reciprocal too close to an integer to round.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    frac = cap_fraction(n, far_cone_angle() / 2.0)
-    return math.ceil(1.0 / frac)
+    if n == 1:
+        return 2
+    if n % 2 == 1:
+        return math.ceil(1 / far_cap_measure(n))
+    # the reciprocal grows like (8/sqrt(15))^n: about 0.32 n integer digits
+    with mpmath.workdps(n // 2 + FAR_GUARD_DIGITS):
+        cos = mpmath.mpf(FAR_COS.numerator) / FAR_COS.denominator
+        if n == 2:
+            recip = mpmath.pi / mpmath.acos(cos)
+        else:
+            recip = 1 / _half_betainc(n, 1 - cos * cos)
+        ceiling = int(mpmath.ceil(recip))
+        gap = min(ceiling - recip, recip - ceiling + 1)
+        if gap < mpmath.mpf(10) ** -(FAR_GUARD_DIGITS // 2):
+            raise NumericalError(
+                f"far_bound({n}): reciprocal too close to an integer to round"
+            )
+    return ceiling
 
 
 @lru_cache(maxsize=None)
@@ -463,38 +519,22 @@ def verify_cone_separation(
 def cone_separation_infimum(
     grid: int = 400, span: float = 40.0
 ) -> tuple[float, float, tuple[float, float]]:
-    """Numerically minimize the far-pair angle over the constraint system.
+    """Minimize the far-pair angle over the constraint system by a grid scan.
 
     Two far centers at distances k, r >= 2 from the pivot must keep their
     separation d above both k - 1 and r - 1 (each center stays outside
     the other's ball, whose radius exceeds its pivot distance minus the
     pivot radius < 1).  Eliminating d caps cos(angle) by
     min((k^2 + 2r - 1)/(2kr), (r^2 + 2k - 1)/(2kr)); the returned triple
-    is (min_angle, aperture, argmin (k, r)) from a dense grid scan plus a
-    local polish.
+    is (min_angle, aperture, argmin (k, r)) over a ``grid`` x ``grid``
+    scan of [2, span]^2.  The grid holds the corner k = r = 2, where the
+    bound is exactly 7/8 and attains its supremum.
     """
     ks = np.linspace(2.0, span, grid)
-    rs = np.linspace(2.0, span, grid)
-    kk, rr = np.meshgrid(ks, rs, indexing="ij")
+    kk, rr = np.meshgrid(ks, ks, indexing="ij")
     f1 = (kk * kk + 2.0 * rr - 1.0) / (2.0 * kk * rr)
     f2 = (rr * rr + 2.0 * kk - 1.0) / (2.0 * kk * rr)
     cos_max = np.minimum(1.0, np.minimum(f1, f2))
     idx = np.unravel_index(np.argmax(cos_max), cos_max.shape)
-    k0, r0 = float(kk[idx]), float(rr[idx])
-
-    def neg_cos(x):
-        k, r = x
-        a = (k * k + 2.0 * r - 1.0) / (2.0 * k * r)
-        b = (r * r + 2.0 * k - 1.0) / (2.0 * k * r)
-        return -min(a, b)
-
-    res = optimize.minimize(
-        neg_cos,
-        x0=[k0, r0],
-        bounds=[(2.0, None), (2.0, None)],
-        method="L-BFGS-B",
-    )
-    cos_best = min(1.0, max(float(np.max(cos_max)), -float(res.fun)))
-    angle = math.acos(cos_best)
-    arg = (float(res.x[0]), float(res.x[1]))
-    return angle, 2.0 * angle, arg
+    angle = math.acos(float(cos_max[idx]))
+    return angle, 2.0 * angle, (float(kk[idx]), float(rr[idx]))

@@ -216,3 +216,50 @@ def test_json_file_output_matches_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert target.read_text() == out.rstrip("\n") + "\n"
+
+
+# Documents the exit-code contract used to break on: a duplicate class
+# (valid JSON, invalid family), a Gram entry above int64 (exact checks
+# pass, the floating-point path cannot take it) and a Gram matrix of the
+# right signature whose floating-point standardization misses tolerance.
+HARD_DOCS = {
+    "duplicate-class": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[0, 1, 0], [0, 1, 0]],
+    },
+    "gram-above-int64": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -10**20]],
+        "curves": [[0, 1, 0], [0, 0, 1]],
+    },
+    "standardize-residual": {
+        "gram": [[10**8, 10**8 + 1], [10**8 + 1, 10**8]],
+        "curves": [[1, -1]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "doc, command, code, stderr",
+    [
+        # the report on stdout names the failed pair; stderr stays empty
+        ("duplicate-class", "validate", 1, ""),
+        ("duplicate-class", "embed", 1, ""),
+        ("duplicate-class", "bound --file", 1, "error: pair (0, 1) violates the center condition"),
+        ("gram-above-int64", "validate", 0, ""),
+        ("gram-above-int64", "embed", 3, "numerical failure: Gram entries exceed"),
+        ("gram-above-int64", "bound --file", 3, "numerical failure: Gram entries exceed"),
+        ("standardize-residual", "validate", 0, ""),
+        ("standardize-residual", "embed", 3, "numerical failure: standardization residual"),
+        ("standardize-residual", "bound --file", 3, "numerical failure: standardization residual"),
+    ],
+)
+def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
+    path = write_doc(tmp_path, HARD_DOCS[doc])
+    proc = run_cli([*command.split(), path])
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    if stderr:
+        assert len(lines) == 1 and lines[0].startswith(stderr)
+    else:
+        assert lines == []

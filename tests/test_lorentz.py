@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from negcurve.errors import SignatureError
+from negcurve.errors import NumericalError, SignatureError
 from negcurve.lorentz import (
     QuadraticLattice,
     embed_class,
@@ -137,6 +137,23 @@ def test_standardize_deterministic():
     standardize.cache_clear()
     second = standardize(QuadraticLattice([[2, 1, 0], [1, -1, 1], [0, 1, -3]])).matrix
     assert np.array_equal(first, second)
+
+
+def test_gram_array_above_int64_is_numerical_error():
+    lat = QuadraticLattice([[1, 0, 0], [0, -1, 0], [0, 0, -10**20]])
+    assert lat.norm((0, 0, 1)) == -10**20  # the exact path is unaffected
+    with pytest.raises(NumericalError):
+        lat.gram_array()
+    with pytest.raises(NumericalError):
+        embed_class(lat, (0, 1, 0))
+
+
+def test_standardize_residual_failure_is_numerical_error():
+    # signature (1, 1) holds exactly; only the floating-point map fails
+    lat = QuadraticLattice([[10**8, 10**8 + 1], [10**8 + 1, 10**8]])
+    standardize.cache_clear()
+    with pytest.raises(NumericalError, match="residual"):
+        standardize(lat)
 
 
 def test_embed_class_simple_norms():

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from negcurve.conditions import ModelFamily, check_ii
+from negcurve.errors import InvalidFamilyError
 from negcurve.klein import CapRep
 from negcurve.packing import (
     Ball,
@@ -19,6 +23,7 @@ from negcurve.packing import (
     near_bound,
     near_bound_volume,
     normalize_scale,
+    far_cap_measure,
     partition,
     reduce_ii_star,
     to_ball_system,
@@ -180,13 +185,13 @@ def test_to_ball_system_single_cap():
 
 def test_to_ball_system_rejects_disjoint_pair():
     fam = ModelFamily([circle_cap(0.0, math.pi / 6), circle_cap(HALF, math.pi / 6)])
-    with pytest.raises(ValueError, match=r"\(0, 1\).*touching"):
+    with pytest.raises(InvalidFamilyError, match=r"\(0, 1\).*touching"):
         to_ball_system(fam)
 
 
 def test_to_ball_system_rejects_center_violation():
     fam = ModelFamily([circle_cap(0.0, math.pi / 3), circle_cap(0.2, math.pi / 3)])
-    with pytest.raises(ValueError, match=r"\(0, 1\).*center"):
+    with pytest.raises(InvalidFamilyError, match=r"\(0, 1\).*center"):
         to_ball_system(fam)
 
 
@@ -334,6 +339,63 @@ def test_far_bound_monte_carlo_cross_check():
     frac = float(np.mean(pts[:, 0] >= math.cos(alpha)))
     assert cap_fraction(4, alpha) == pytest.approx(frac, rel=0.01)
     assert far_bound(4) == math.ceil(1.0 / cap_fraction(4, alpha))
+
+
+def reference_far_bound(n):
+    """ceil(1 / sigma_n) at 60 significant digits, from the reduction
+    formula int_0^a sin^m = -sin^(m-1) a cos a / m + (m-1)/m int_0^a sin^(m-2)
+    over the Wallis integrals; m = n - 2.  The forward recursion cancels
+    about n/3 digits, so it runs at 60 + n digits."""
+    if n == 1:
+        return 2
+    m = n - 2
+    with mpmath.workdps(60 + n):
+        c = mpmath.mpf(7) / 8
+        s = mpmath.sqrt(1 - c * c)
+        part, whole = (mpmath.acos(c), mpmath.pi) if m % 2 == 0 else (1 - c, mpmath.mpf(2))
+        for k in range(m % 2 + 2, m + 1, 2):
+            part = -s ** (k - 1) * c / k + part * (k - 1) / k
+            whole = whole * (k - 1) / k
+        recip = whole / part
+        nearest = mpmath.nint(recip)
+        if abs(recip - nearest) < mpmath.mpf(10) ** -40:
+            return int(nearest)
+        return int(mpmath.ceil(recip))
+
+
+def test_far_bound_matches_60_digit_reference():
+    assert far_bound(50) == 42477174512562278
+    mismatches = [n for n in range(1, 129) if far_bound(n) != reference_far_bound(n)]
+    assert mismatches == []
+
+
+def test_far_cap_measure_is_exact():
+    measure = far_cap_measure(3)
+    assert isinstance(measure, Fraction)
+    assert measure == Fraction(1, 16)
+    # S^4: (2 - 3c + c^3) / 4 at c = 7/8
+    assert far_cap_measure(5) == Fraction(23, 2048)
+    alpha = far_cone_angle() / 2
+    for n in (3, 5, 9, 21):
+        assert float(far_cap_measure(n)) == pytest.approx(cap_fraction(n, alpha), rel=1e-12)
+    with pytest.raises(ValueError):
+        far_cap_measure(4)
+
+
+def test_cap_fraction_complement_past_right_angle():
+    for n in (3, 4, 7, 10):
+        for alpha in (0.3, 1.2, math.pi / 2):
+            total = cap_fraction(n, alpha) + cap_fraction(n, math.pi - alpha)
+            assert total == pytest.approx(1.0, abs=1e-14)
+        assert cap_fraction(n, math.pi) == pytest.approx(1.0, abs=1e-14)
+    assert cap_fraction(3, 2.0) == pytest.approx((1 - math.cos(2.0)) / 2, rel=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, negcurve; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_far_bound_monotone():
