@@ -571,47 +571,70 @@ class ProbeReport:
         }
 
 
-def _sample_spacelike(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Gaussian vectors in R^{n+1} conditioned on a negative H-norm."""
-    out = np.empty((count, n + 1))
+#: sample pairs the probe evaluates together; the fixed block keeps its
+#: temporaries small, and every row gets the same arithmetic as alone
+_PROBE_BLOCK = 1 << 14
+
+#: numpy adds fewer terms than this one after another, more pairwise
+_PAIRWISE_TERMS = 8
+
+
+def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
+    """Per-sample sums of a (terms, samples) column array.
+
+    The rounding equals ``np.sum(rows, axis=1)`` on the C-ordered
+    (samples, terms) array of the same values: numpy adds up to seven
+    terms left to right, which a running sum of the columns repeats, and
+    more terms pairwise, which only its own reduction over rows repeats.
+    """
+    if len(cols) >= _PAIRWISE_TERMS:
+        return np.sum(np.ascontiguousarray(cols.T), axis=1)
+    # numpy starts from +0.0, which turns a leading -0.0 into +0.0
+    total = cols[0] + 0.0
+    for col in cols[1:]:
+        total += col
+    return total
+
+
+def _sample_spacelike(
+    rng: np.random.Generator, count: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian vectors in R^{n+1} conditioned on a negative H-norm.
+
+    Returns the vectors as an (n + 1, count) column array and their
+    H-norms.
+    """
+    rows = np.empty((count, n + 1))
+    norms = np.empty(count)
     filled = 0
     while filled < count:
         batch = rng.normal(size=(max(count - filled, 64), n + 1))
-        q = batch[:, 0] ** 2 - np.sum(batch[:, 1:] ** 2, axis=1)
-        good = batch[q < 0]
-        take = min(len(good), count - filled)
-        out[filled : filled + take] = good[:take]
+        q = np.empty(len(batch))
+        for lo in range(0, len(batch), _PROBE_BLOCK):
+            cols = batch[lo : lo + _PROBE_BLOCK].T
+            q[lo : lo + _PROBE_BLOCK] = cols[0] ** 2 - _coordinate_sum(cols[1:] ** 2)
+        keep = np.flatnonzero(q < 0)[: count - filled]
+        take = len(keep)
+        # the row numbers in keep are in range, so "clip" only skips the
+        # bounds check, and with it a buffered copy of the rows
+        np.take(batch, keep, axis=0, out=rows[filled : filled + take], mode="clip")
+        norms[filled : filled + take] = q[keep]
         filled += take
-    return out
+    return np.ascontiguousarray(rows.T), norms
 
 
-def equivalence_probe(
-    n: int,
-    samples: int,
-    seed: int = 0,
-    tol_boundary: float = TOL_BOUNDARY,
-    max_examples: int = 10,
-) -> ProbeReport:
-    """Draw random space-like pairs and compare the two condition systems.
+def _probe_block(a, b, n1, n2, tol_boundary):
+    """Both condition systems on one block of sample pairs.
 
-    Lattice-level verdicts are evaluated directly from inner products of
-    the raw vectors; model-level verdicts from the cap coordinates of the
-    projected points.  Both sides use scale-invariant margins so the
-    boundary band is meaningful across samples.
+    ``a`` and ``b`` are (n + 1, rows) column blocks and ``n1``, ``n2``
+    their H-norms.  Returns the per-row quantities the examples report
+    and, per condition pair, (lattice verdict, model verdict, lattice
+    margin, model margin).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if n < 2:
-        raise ValueError("the probe needs n >= 2")
-    rng = np.random.default_rng(seed)
-    v1 = _sample_spacelike(rng, samples, n)
-    v2 = _sample_spacelike(rng, samples, n)
-
-    e1 = np.sum(v1 * v1, axis=1)
-    e2 = np.sum(v2 * v2, axis=1)
-    n1 = v1[:, 0] ** 2 - np.sum(v1[:, 1:] ** 2, axis=1)
-    n2 = v2[:, 0] ** 2 - np.sum(v2[:, 1:] ** 2, axis=1)
-    h = v1[:, 0] * v2[:, 0] - np.sum(v1[:, 1:] * v2[:, 1:], axis=1)
+    e1 = _coordinate_sum(a * a)
+    e2 = _coordinate_sum(b * b)
+    cross = _coordinate_sum(a[1:] * b[1:])
+    h = a[0] * b[0] - cross
 
     # lattice-level margins, normalized to be scale-invariant
     m_I = np.minimum(-n1 / e1, -n2 / e2)
@@ -627,60 +650,92 @@ def equivalence_probe(
     verdict_III = sup_pos <= 0
 
     # model level: normalize onto the cylinder
-    s1 = np.linalg.norm(v1[:, 1:], axis=1)
-    s2 = np.linalg.norm(v2[:, 1:], axis=1)
-    x1 = np.clip(v1[:, 0] / s1, -1.0, 1.0)
-    x2 = np.clip(v2[:, 0] / s2, -1.0, 1.0)
-    theta1 = np.arccos(x1)
-    theta2 = np.arccos(x2)
-    z_dot = np.clip(
-        np.sum(v1[:, 1:] * v2[:, 1:], axis=1) / (s1 * s2), -1.0, 1.0
-    )
-    delta = np.arccos(z_dot)
+    s1 = np.sqrt(_coordinate_sum(a[1:] * a[1:]))
+    s2 = np.sqrt(_coordinate_sum(b[1:] * b[1:]))
+    theta1 = np.arccos(np.clip(a[0] / s1, -1.0, 1.0))
+    theta2 = np.arccos(np.clip(b[0] / s2, -1.0, 1.0))
+    delta = np.arccos(np.clip(cross / (s1 * s2), -1.0, 1.0))
 
     # projection classifies with the relative guard band of sign_class, so
     # near-null vectors file as boundary points and fail (i); any mismatch
     # with the strict sign in (I) lies inside the band by construction
     verdict_i = (n1 < -tol_boundary * e1) & (n2 < -tol_boundary * e2)
-    m_i = m_I
     val_ii = np.cos(delta) - np.cos(theta1) * np.cos(theta2)
-    verdict_ii = val_ii <= tol_boundary
-    m_ii = -val_ii
     val_iii = theta1 + theta2 - delta
-    verdict_iii = val_iii >= -tol_boundary
-    m_iii = val_iii
 
-    disagreements = {}
-    boundary = {}
-    examples: list[dict] = []
-    big_cap = 0
+    values = {"theta1": theta1, "theta2": theta2, "delta": delta,
+              "n1": n1, "n2": n2, "h": h}
     pairs = {
-        "I/i": (verdict_I, verdict_i, m_I, m_i),
-        "II/ii": (verdict_II, verdict_ii, m_II, m_ii),
-        "III/iii": (verdict_III, verdict_iii, m_III, m_iii),
+        "I/i": (verdict_I, verdict_i, m_I, m_I),
+        "II/ii": (verdict_II, val_ii <= tol_boundary, m_II, -val_ii),
+        "III/iii": (verdict_III, val_iii >= -tol_boundary, m_III, val_iii),
     }
-    for name, (va, vb, ma, mb) in pairs.items():
-        diff = va != vb
-        near = np.minimum(np.abs(ma), np.abs(mb)) <= tol_boundary
-        disagreements[name] = int(np.sum(diff & ~near))
-        boundary[name] = int(np.sum(diff & near))
-        idx = np.nonzero(diff & ~near)[0]
-        if name == "III/iii":
-            big_cap = int(np.sum((theta1[idx] + theta2[idx]) > math.pi))
-        for k in idx[: max_examples - len(examples)]:
-            examples.append(
-                {
-                    "conditions": name,
-                    "lattice_verdict": bool(va[k]),
-                    "model_verdict": bool(vb[k]),
-                    "theta1": float(theta1[k]),
-                    "theta2": float(theta2[k]),
-                    "delta": float(delta[k]),
-                    "norms": [float(n1[k]), float(n2[k])],
-                    "pairing": float(h[k]),
-                }
-            )
+    return values, pairs
 
+
+def equivalence_probe(
+    n: int,
+    samples: int,
+    seed: int = 0,
+    tol_boundary: float = TOL_BOUNDARY,
+    max_examples: int = 10,
+) -> ProbeReport:
+    """Draw random space-like pairs and compare the two condition systems.
+
+    Lattice-level verdicts are evaluated directly from inner products of
+    the raw vectors; model-level verdicts from the cap coordinates of the
+    projected points.  Both sides use scale-invariant margins so the
+    boundary band is meaningful across samples.  The pairs are evaluated
+    in fixed blocks of rows; the report does not depend on the block size.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if n < 2:
+        raise ValueError("the probe needs n >= 2")
+    if max_examples < 0:
+        raise ValueError("max_examples must be >= 0")
+    rng = np.random.default_rng(seed)
+    v1, q1 = _sample_spacelike(rng, samples, n)
+    v2, q2 = _sample_spacelike(rng, samples, n)
+
+    disagreements = {"I/i": 0, "II/ii": 0, "III/iii": 0}
+    boundary = dict(disagreements)
+    found: dict[str, list[dict]] = {name: [] for name in disagreements}
+    big_cap = iii_without_III = III_without_iii = 0
+    for lo in range(0, samples, _PROBE_BLOCK):
+        rows = slice(lo, lo + _PROBE_BLOCK)
+        values, pairs = _probe_block(
+            v1[:, rows], v2[:, rows], q1[rows], q2[rows], tol_boundary
+        )
+        for name, (va, vb, ma, mb) in pairs.items():
+            diff = va != vb
+            near = np.minimum(np.abs(ma), np.abs(mb)) <= tol_boundary
+            idx = np.flatnonzero(diff & ~near)
+            disagreements[name] += len(idx)
+            boundary[name] += int(np.count_nonzero(diff & near))
+            if name == "III/iii":
+                big_cap += int(np.count_nonzero(
+                    (values["theta1"][idx] + values["theta2"][idx]) > math.pi
+                ))
+            for k in idx[: max_examples - len(found[name])]:
+                found[name].append(
+                    {
+                        "conditions": name,
+                        "lattice_verdict": bool(va[k]),
+                        "model_verdict": bool(vb[k]),
+                        "theta1": float(values["theta1"][k]),
+                        "theta2": float(values["theta2"][k]),
+                        "delta": float(values["delta"][k]),
+                        "norms": [float(values["n1"][k]), float(values["n2"][k])],
+                        "pairing": float(values["h"][k]),
+                    }
+                )
+        verdict_III, verdict_iii = pairs["III/iii"][:2]
+        iii_without_III += int(np.count_nonzero(verdict_iii & ~verdict_III))
+        III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
+
+    # examples in the order I/i, II/ii, III/iii, each by ascending index
+    examples = [ex for exs in found.values() for ex in exs][:max_examples]
     return ProbeReport(
         n=n,
         samples=samples,
@@ -689,7 +744,7 @@ def equivalence_probe(
         disagreements=disagreements,
         boundary_disagreements=boundary,
         big_cap_disagreements=big_cap,
-        iii_without_III=int(np.sum(verdict_iii & ~verdict_III)),
-        III_without_iii=int(np.sum(verdict_III & ~verdict_iii)),
+        iii_without_III=iii_without_III,
+        III_without_iii=III_without_iii,
         examples=examples,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -263,3 +264,61 @@ def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
         assert len(lines) == 1 and lines[0].startswith(stderr)
     else:
         assert lines == []
+
+
+def test_probe_stdout_golden(capsys):
+    # sha256 of the report as recorded before the probe moved to
+    # coordinate columns and row blocks
+    code = main(["probe", "--n", "3", "--samples", "20000", "--seed", "11"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4a63950988e0920600c027f36be877212481f8427e5ab4d7e5be27475d2a0334"
+    )
+
+
+# Documents that are not well-formed input, as raw file text, and the
+# start of the one error line each must give, with exit 2, under every
+# command that reads a document.
+MALFORMED_DOCS = {
+    "truncated-json": ('{"gram": [[1, 0], [0, -1]], "curves": [[0, 1]', "is not valid JSON"),
+    "list-root": ("[[1, 0], [0, -1]]", "document root must be an object"),
+    "missing-curves": ('{"gram": [[1, 0], [0, -1]]}', "curves must be a nonempty array"),
+    "empty-gram": ('{"gram": [], "curves": [[0, 1]]}', "gram must be a nonempty array"),
+    "empty-curves": ('{"gram": [[1, 0], [0, -1]], "curves": []}', "curves must be a nonempty array"),
+    "string-entry": ('{"gram": [[1, "0"], [0, -1]], "curves": [[0, 1]]}', "gram entries must be integers"),
+    "float-entry": ('{"gram": [[1, 0], [0, -1]], "curves": [[0, 1.0]]}', "curves entries must be integers"),
+    "bool-entry": ('{"gram": [[1, 0], [0, -1]], "curves": [[0, true]]}', "curves entries must be integers"),
+    "nan-entry": ('{"gram": [[1, 0], [0, NaN]], "curves": [[0, 1]]}', "gram entries must be integers"),
+    "ragged-gram": (
+        '{"gram": [[1, 0, 0], [0, -1], [0, 0, -1]], "curves": [[0, 1, 0]]}',
+        "gram matrix rejected: matrix is not square",
+    ),
+    "asymmetric-gram": (
+        '{"gram": [[1, 2], [0, -1]], "curves": [[0, 1]]}',
+        "gram matrix rejected: matrix is not symmetric",
+    ),
+    "wrong-length-class": (
+        '{"gram": [[1, 0], [0, -1]], "curves": [[0, 1, 0]]}',
+        "curves rejected: class length must equal the lattice rank",
+    ),
+    "zero-class": (
+        '{"gram": [[1, 0], [0, -1]], "curves": [[0, 0]]}',
+        "curves rejected: family classes must be nonzero",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "embed", "bound --file"])
+@pytest.mark.parametrize("doc", sorted(MALFORMED_DOCS))
+def test_malformed_documents_exit_2(tmp_path, capsys, doc, command):
+    text, reason = MALFORMED_DOCS[doc]
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    code = main([*command.split(), str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert reason in lines[0]

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from negcurve import conditions
 from negcurve.conditions import (
     CurveFamily,
     ModelFamily,
@@ -583,3 +586,98 @@ def test_probe_input_validation():
         equivalence_probe(2, 0)
     with pytest.raises(ValueError):
         equivalence_probe(1, 10)
+
+
+def test_probe_rejects_negative_max_examples():
+    # a negative count used to wrap the example slice around
+    with pytest.raises(ValueError, match="max_examples"):
+        equivalence_probe(2, 2000, seed=1, max_examples=-1)
+
+
+def probe_digest(report) -> str:
+    blob = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of the probe report as recorded before the probe moved to
+# coordinate columns and row blocks; the rewrite must leave every byte.
+# Sample counts straddle one block of 2**14 rows; n >= 8 takes numpy's
+# pairwise summation over the coordinates.
+PROBE_GOLDEN = [
+    # (n, samples, seed, max_examples, sha256)
+    (2, 1, 15, 10, "272f00426bc5df3b9c89767154113bbc1792be74de29d7e4782421052d275083"),
+    (2, 63, 22, 10, "72cd7c56ad9cf3efa0ec2139fa6e72bd48c00220e7d80faa5dbe8841b348eae8"),
+    (2, 16383, 18, 10, "22184f4a381172af78ddcac2c5734bc51fea7e211cef1650a38190f52eb6de47"),
+    (2, 16384, 19, 10, "ec6aa2a5d0525eb04000fbecd01de39612f90a240dec10546a19dfdc31faab65"),
+    (2, 16385, 20, 10, "28cb8b54e74c1d3010561ac2392882817462568048c7421f70bf2ec326067d5b"),
+    (2, 100000, 24, 10, "e2ba290ad6b69ae82e4d9b6017633ba618245c9d0288a527361a10aa1f1b920a"),
+    (3, 1, 22, 10, "2ff16fec51b4d783af41c2bb610ab69ecbc50ad95bd160a69b1e825d40daf40a"),
+    (3, 63, 29, 10, "0983e4ea61b687dd7f9a64364cdf8591453c14f730735612eed340dbb71717c9"),
+    (3, 16383, 25, 10, "0aa015ee68e63a7bfe8a41107e1ee0e5fd8ef2404b2e05a030b4f96934885b7f"),
+    (3, 16384, 26, 10, "b2a4989fbb0e8d65d6c9370441e8aa1bbd62c55a7896b655b451faa692880655"),
+    (3, 16385, 27, 10, "4dcae8af4554b85218c4ec9238106cbb31760221dff35a383c8c09d80a9a5d60"),
+    (3, 100000, 31, 10, "2ecc35a6df5d132482774387878133456931103b077ea8737f7b791dd2900924"),
+    (5, 1, 36, 10, "b9bcdbe6cea9a0080d6ad2c6f5858b64eac94ab41964b4a08ae23865ccd0887a"),
+    (5, 63, 43, 10, "783a0cf8343d6b7c40d29f852a877c2922d140f661c4aaede379d5b820b000c1"),
+    (5, 16383, 39, 10, "3b4f94fe2daebed9ee4ef8930f94e00b5a115d4449715df747acce0dbc07d9a1"),
+    (5, 16384, 40, 10, "efd2c479c8545691590d554966d08a559bde1f367441a1207c8f24c8cc1f0927"),
+    (5, 16385, 41, 10, "f8ddd221a36bde0a48c9ae29a80602f27332c014c426e7fc12b92f01d69d9bd8"),
+    (5, 100000, 45, 10, "8d8c50ed8a83c00efd1e9c668ebc429a348f5eae0b40746b3aa8321a4f4b4924"),
+    (7, 1, 50, 10, "73455e74d92c4bb3459ae68c23d5b5477b1c7066f6e07d5861bc068bf1ebfa34"),
+    (7, 63, 57, 10, "faf8dbb2dd4e64873dd62edbfd927b87d8ef6efd22498e609c15b27d33e9b79f"),
+    (7, 16383, 53, 10, "be2d52f2392eaff5ab6bdcc20e820245c193799f21d7892eb1b5a6de6f1d2d3d"),
+    (7, 16384, 54, 10, "dad11d0cc0f243448a302595040227344ee0e3f163fec8f2b1298014d7e397de"),
+    (7, 16385, 55, 10, "ac167b8a448dcf3a06ed9c4826fbcd459743b5b17ba77847461d0475ca035fab"),
+    (7, 100000, 59, 10, "0201d977627d7df818ad9204411146537e1aca80ff8417212ecf7f8330bd76ab"),
+    (8, 1, 57, 10, "9ca0d1b990f410554a1b80af706a64132eb54f1fd160db048245dbb6f91f3f04"),
+    (8, 63, 64, 10, "60c3ff848cce3a463b09a04aa482b8b0a8cb72e3fb6ecc3a64927e2aa000deb3"),
+    (8, 16383, 60, 10, "62d381746ff3dc416e7a1ab3d20954fd99dfa6501eedd4b036a29eafc4574106"),
+    (8, 16384, 61, 10, "e70dd11267a561c13d790e52b638339c74cd4987355cde66fda28f10590648ec"),
+    (8, 16385, 62, 10, "3ad1ee4082315899af7298f0980ba49120c263e019b08f112fdc97294e7f5590"),
+    (8, 100000, 66, 10, "9d68766c971a952d04b35dff13ecab54a1a56f4c7eb06c0891ec577479f742dc"),
+    (12, 1, 85, 10, "77cea4a277a0d89eb8d351490d6bc66989c2c45f1ed999e7d1b4b6243c412dc9"),
+    (12, 63, 92, 10, "263b7ec3cfac6153a5b1e07c189d58f18e43ddc956e24b1993ddc20370277e70"),
+    (12, 16383, 88, 10, "7d5126c49f3975fa5d12860b6a7313a21185421d82c937c51a328548aff369c2"),
+    (12, 16384, 89, 10, "580f4ccb92a5a8cc65b6ef7f43ad7c1d2debb274d6a54defce95c39e75f11e23"),
+    (12, 16385, 90, 10, "df3494c0da330af4b5a26d17c16b307455c423ee7076111b71f1255d2f1755e8"),
+    (12, 100000, 94, 10, "f227046e97a8c5fe1a68cae51eb18ba01a54b236cb732a1f4003434da8f8b85a"),
+    (2, 100000, 24, 0, "05be5115fd63e1f3491e16908adc81086fbefd98161c991b091bd10ef044ac7c"),
+    (2, 100000, 24, 1000, "f811d0d504889fc40a416f04bcceee6f0ad7993e82095d9ef90d96de072b027a"),
+    (12, 100000, 94, 1000, "964f56a23be703f69cbb7e85cdbf41e6015b417dddf5e034b51e3c73314dad3a"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, samples, seed, max_examples, sha",
+    PROBE_GOLDEN,
+    ids=[f"n{n}-s{samples}-m{m}" for n, samples, _, m, _ in PROBE_GOLDEN],
+)
+def test_probe_report_golden(n, samples, seed, max_examples, sha):
+    report = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+    assert probe_digest(report) == sha
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize(
+    "n, samples, seed, max_examples",
+    [(2, 3000, 1, 0), (2, 3000, 1, 150), (2, 3000, 1, 10_000), (8, 1500, 4, 10)],
+)
+def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed, max_examples):
+    # examples keep the global order, and truncation, across block edges
+    expected = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+    monkeypatch.setattr(conditions, "_PROBE_BLOCK", block)
+    report = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+    assert report.to_json_dict() == expected.to_json_dict()
+    assert probe_digest(report) == probe_digest(expected)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 1000])
+def test_coordinate_sum_matches_numpy_rows(rows):
+    # the probe's coordinate sums round exactly as numpy's row sums; a numpy
+    # release that changes its summation order fails here first
+    rng = np.random.default_rng(rows)
+    for width in range(1, 34):
+        x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 9, size=(rows, width))
+        x[0, 0] = -0.0
+        got = conditions._coordinate_sum(np.ascontiguousarray(x.T))
+        assert np.array_equal(got.view(np.int64), np.sum(x, axis=1).view(np.int64)), width
