@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,6 @@ from .errors import (
     InvalidFamilyError,
     NegCurveError,
     NumericalError,
-    SignatureError,
 )
 from .klein import Region, cap_of, figure_streams, project
 from .lorentz import QuadraticLattice, embed_class
@@ -106,15 +106,21 @@ def load_document(path: str | Path) -> InputDocument:
         labels = tuple(labels)
     try:
         lattice = QuadraticLattice(gram)
-    except SignatureError as exc:
-        raise InputError(f"gram matrix rejected: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # SignatureError included
         raise InputError(f"gram matrix rejected: {exc}") from exc
     try:
         family = CurveFamily(lattice, curves, labels)
     except ValueError as exc:
         raise InputError(f"curves rejected: {exc}") from exc
     return InputDocument(lattice=lattice, family=family, labels=labels)
+
+
+def _document_inputs(doc: InputDocument) -> dict:
+    """The ``inputs`` a report digests for a family document."""
+    return {
+        "gram": [list(r) for r in doc.lattice.gram],
+        "curves": [list(c) for c in doc.family.classes],
+    }
 
 
 def _digest(payload) -> str:
@@ -135,7 +141,15 @@ def _report(command: str, inputs, outputs, seed: int | None = None) -> dict:
 
 def _emit(report: dict, json_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at the null
+        # device, so the exit-time flush of what is still buffered does
+        # not fail again, and finish the command
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if json_path:
         Path(json_path).write_text(text + "\n")
 
@@ -151,15 +165,7 @@ def _fmt(x: float) -> str:
 def cmd_validate(args) -> int:
     doc = load_document(args.file)
     report = validate_family(doc.family)
-    _emit(
-        _report(
-            "validate",
-            {"gram": [list(r) for r in doc.lattice.gram],
-             "curves": [list(c) for c in doc.family.classes]},
-            report.to_json_dict(),
-        ),
-        args.json,
-    )
+    _emit(_report("validate", _document_inputs(doc), report.to_json_dict()), args.json)
     return EXIT_OK if report.overall else EXIT_INVALID
 
 
@@ -194,8 +200,7 @@ def cmd_embed(args) -> int:
         _emit(
             _report(
                 "embed",
-                {"gram": [list(r) for r in doc.lattice.gram],
-                 "curves": [list(c) for c in doc.family.classes]},
+                _document_inputs(doc),
                 {"error": "family fails validation; rerun with --force",
                  "validation": validation.to_json_dict()},
             ),
@@ -218,15 +223,7 @@ def cmd_embed(args) -> int:
                     fh.write(" ".join(_fmt(x) for x in row) + "\n")
             written.append(str(path))
         outputs["figure_files"] = written
-    _emit(
-        _report(
-            "embed",
-            {"gram": [list(r) for r in doc.lattice.gram],
-             "curves": [list(c) for c in doc.family.classes]},
-            outputs,
-        ),
-        args.json,
-    )
+    _emit(_report("embed", _document_inputs(doc), outputs), args.json)
     return EXIT_OK
 
 
@@ -242,8 +239,7 @@ def cmd_bound(args) -> int:
         inputs["n"] = args.n
     if args.file is not None:
         doc = load_document(args.file)
-        inputs["gram"] = [list(r) for r in doc.lattice.gram]
-        inputs["curves"] = [list(c) for c in doc.family.classes]
+        inputs.update(_document_inputs(doc))
         n = doc.lattice.rank - 1
         outputs.setdefault("bound", total_bound(n).to_json_dict())
         _, caps = _embed_records(doc)

@@ -33,9 +33,9 @@ time-like).  ``equivalence_probe`` measures all of this empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from .lorentz import QuadraticLattice
 
 #: symmetric guard band for all non-strict model-level inequalities
 TOL_BOUNDARY = 1e-9
-
-#: angular-distance threshold below which a cap pair is rejected as degenerate
-DEGENERATE_DELTA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,13 +106,10 @@ def check_III(lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]) -> Co
 
 
 def positive_combination_witness(
-    lat: QuadraticLattice,
-    c1: Sequence[int],
-    c2: Sequence[int],
-    limit: int = 50,
+    lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]
 ):
     """A witness that (III) fails: integer (a, b) with positive square if one
-    exists within the grid {1..limit}^2, else the real maximizer ray.
+    exists within the grid {1..50}^2, else the real maximizer ray.
 
     Returns None when (III) holds.
     """
@@ -125,8 +119,9 @@ def positive_combination_witness(
     n1, n2 = lat.norm(c1), lat.norm(c2)
     h = lat.pairing(c1, c2)
     best = None
-    for a in range(1, limit + 1):
-        for b in range(1, limit + 1):
+    grid = range(1, 51)
+    for a in grid:
+        for b in grid:
             val = a * a * n1 + 2 * a * b * h + b * b * n2
             if val > 0:
                 best = ("integer", (a, b), val)
@@ -190,6 +185,19 @@ def cap_arrays(caps: Sequence[CapRep]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def coincident_feet(Z) -> np.ndarray:
+    """(k, k) mask of the pairs of rows of ``Z`` that are the same foot,
+    compared exactly as :func:`pair_margin` compares two feet (arccos of
+    the dot product cannot tell feet closer than ~1.5e-8 apart from equal
+    ones); the diagonal is true."""
+    Z = np.asarray(Z, dtype=float)
+    same = np.ones((len(Z), len(Z)), dtype=bool)
+    # column by column: a (k, k, n) comparison reduced over n is ~5x slower
+    for col in Z.T:
+        same &= np.equal.outer(col, col)
+    return same
+
+
 def _degenerate_pair_error() -> DegenerateCapPairError:
     return DegenerateCapPairError(
         "cap feet coincide (angular distance 0); the pair predicates "
@@ -201,22 +209,22 @@ def pair_margin(c1: CapRep, c2: CapRep) -> tuple[float, float]:
     """(m_ii, m_iii) of one pair of caps, from the 1x1 block of
     :func:`pair_margins`; raises :class:`DegenerateCapPairError` when the
     feet coincide."""
-    delta, m_ii, m_iii = pair_margins((c1.z, c2.z), (c1.theta, c2.theta))
-    if delta[0, 1] <= DEGENERATE_DELTA:
+    if tuple(c1.z) == tuple(c2.z):
         raise _degenerate_pair_error()
+    _, m_ii, m_iii = pair_margins((c1.z, c2.z), (c1.theta, c2.theta))
     return float(m_ii[0, 1]), float(m_iii[0, 1])
 
 
-def check_ii(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> ConditionVerdict:
-    """cos(delta) <= cos(theta_1) cos(theta_2), with a symmetric guard band."""
+def check_ii(c1: CapRep, c2: CapRep) -> ConditionVerdict:
+    """cos(delta) <= cos(theta_1) cos(theta_2), within TOL_BOUNDARY."""
     margin = pair_margin(c1, c2)[0]
-    return ConditionVerdict(holds=margin >= -tol, margin=margin, value=-margin)
+    return ConditionVerdict(holds=margin >= -TOL_BOUNDARY, margin=margin, value=-margin)
 
 
-def check_iii(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> ConditionVerdict:
+def check_iii(c1: CapRep, c2: CapRep) -> ConditionVerdict:
     """theta_1 + theta_2 >= delta: the closed caps on S^{n-1} intersect."""
     margin = pair_margin(c1, c2)[1]
-    return ConditionVerdict(holds=margin >= -tol, margin=margin, value=margin)
+    return ConditionVerdict(holds=margin >= -TOL_BOUNDARY, margin=margin, value=margin)
 
 
 @dataclass(frozen=True)
@@ -299,11 +307,10 @@ class ModelFamily:
 
 @dataclass(frozen=True, slots=True)
 class PairVerdict:
-    """One condition evaluated on one element or pair."""
+    """One condition failing on one element or pair."""
 
     indices: tuple[int, ...]
     condition: str
-    holds: bool
     margin: float
 
 
@@ -313,8 +320,7 @@ class ValidationReport:
 
     ``overall`` is the conjunction of all per-element and per-pair
     verdicts; ``failures`` lists each violation with the condition name
-    and the (signed) margin by which it failed.  ``verdicts`` iterates
-    all records, passing and failing, for callers that want the full map.
+    and the (signed) margin by which it failed.
     """
 
     kind: str
@@ -323,14 +329,9 @@ class ValidationReport:
     failures: list[PairVerdict]
     checked: dict[str, int]
     min_margins: dict[str, float]
-    _all_records: list[PairVerdict] = field(default_factory=list, repr=False)
-
-    @property
-    def verdicts(self) -> Iterator[PairVerdict]:
-        return iter(self._all_records)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "size": self.size,
             "overall": self.overall,
@@ -347,17 +348,6 @@ class ValidationReport:
                 for f in self.failures
             ],
         }
-        if self._all_records:
-            out["verdicts"] = [
-                {
-                    "indices": list(r.indices),
-                    "condition": r.condition,
-                    "holds": r.holds,
-                    "margin": float(r.margin),
-                }
-                for r in self._all_records
-            ]
-        return out
 
 
 def _pair_matrix(lat: QuadraticLattice, classes) -> np.ndarray:
@@ -378,26 +368,22 @@ def _pair_matrix(lat: QuadraticLattice, classes) -> np.ndarray:
     return v @ g @ v.T
 
 
-def validate_family(
-    fam: Union[CurveFamily, ModelFamily],
-    tol: float = TOL_BOUNDARY,
-    collect_all: bool = False,
-) -> ValidationReport:
+def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
     """Check every element and pair of a family against its condition system.
 
     Lattice families are checked with exact integer arithmetic; model
-    families with the guard-banded cap inequalities.  The report is
-    order-independent: permuting the family changes only record order,
-    never the overall verdict.
+    families with the cap inequalities, guard-banded by TOL_BOUNDARY.  The
+    report is order-independent: permuting the family changes only record
+    order, never the overall verdict.
     """
     if isinstance(fam, CurveFamily):
-        return _validate_lattice(fam, collect_all)
+        return _validate_lattice(fam)
     if isinstance(fam, ModelFamily):
-        return _validate_model(fam, tol, collect_all)
+        return _validate_model(fam)
     raise TypeError(f"cannot validate {type(fam).__name__}")
 
 
-def _validate_lattice(fam: CurveFamily, collect_all: bool) -> ValidationReport:
+def _validate_lattice(fam: CurveFamily) -> ValidationReport:
     if len(fam) == 0:
         raise ValueError("cannot validate an empty family")
     k = len(fam)
@@ -433,28 +419,12 @@ def _validate_lattice(fam: CurveFamily, collect_all: bool) -> ValidationReport:
 
     failures: list[PairVerdict] = []
     for i in np.nonzero(~holds_I)[0]:
-        failures.append(PairVerdict((int(i),), "I", False, margin_I[i]))
+        failures.append(PairVerdict((int(i),), "I", margin_I[i]))
     for p in np.nonzero(~holds_II)[0]:
-        failures.append(
-            PairVerdict((int(iu[p]), int(ju[p])), "II", False, margin_II[p])
-        )
+        failures.append(PairVerdict((int(iu[p]), int(ju[p])), "II", margin_II[p]))
     for p in np.nonzero(both_neg & ~holds_III)[0]:
-        failures.append(
-            PairVerdict((int(iu[p]), int(ju[p])), "III", False, margin_III[p])
-        )
+        failures.append(PairVerdict((int(iu[p]), int(ju[p])), "III", margin_III[p]))
     failures.sort(key=lambda f: (f.indices, f.condition))
-
-    records: list[PairVerdict] = []
-    if collect_all:
-        for i in range(k):
-            records.append(PairVerdict((i,), "I", bool(holds_I[i]), margin_I[i]))
-        for p in range(len(iu)):
-            idx = (int(iu[p]), int(ju[p]))
-            records.append(PairVerdict(idx, "II", bool(holds_II[p]), margin_II[p]))
-            if both_neg[p]:
-                records.append(
-                    PairVerdict(idx, "III", bool(holds_III[p]), margin_III[p])
-                )
 
     checked = {"I": k, "II": len(iu), "III": int(np.sum(both_neg))}
     min_margins: dict[str, float] = {"I": float(np.min(margin_I))}
@@ -470,43 +440,35 @@ def _validate_lattice(fam: CurveFamily, collect_all: bool) -> ValidationReport:
         failures=failures,
         checked=checked,
         min_margins=min_margins,
-        _all_records=records,
     )
 
 
-def _validate_model(fam: ModelFamily, tol: float, collect_all: bool) -> ValidationReport:
+def _validate_model(fam: ModelFamily) -> ValidationReport:
     if len(fam) == 0:
         raise ValueError("cannot validate an empty family")
     k = len(fam)
-    delta, m_ii, m_iii = pair_margins(*cap_arrays(fam.caps))
-    iu, ju = np.triu_indices(k, 1)
-    if np.any(delta[iu, ju] <= DEGENERATE_DELTA):
+    z, theta = cap_arrays(fam.caps)
+    if np.any(np.triu(coincident_feet(z), 1)):
         raise _degenerate_pair_error()
+    _, m_ii, m_iii = pair_margins(z, theta)
+    iu, ju = np.triu_indices(k, 1)
     # one row per pair in row-major order, columns (ii, iii)
     margins = np.column_stack([m_ii[iu, ju], m_iii[iu, ju]])
-    holds = margins >= -tol
+    p, c = np.divmod(np.flatnonzero(~(margins >= -TOL_BOUNDARY)), 2)
 
-    def pair_records(flat):
-        p, c = np.divmod(flat, 2)
-        return [
-            PairVerdict((i, j), ("ii", "iii")[col], ok, m)
-            for i, j, col, ok, m in zip(
-                iu[p].tolist(), ju[p].tolist(), c.tolist(),
-                holds.ravel()[flat].tolist(), margins.ravel()[flat].tolist(),
-            )
-        ]
-
-    records_i = [
-        PairVerdict((i,), "i", v.holds, float(v.margin))
-        for i, v in enumerate(map(check_i, fam.caps))
+    verdicts_i = [check_i(cap) for cap in fam.caps]
+    failures = [
+        PairVerdict((i,), "i", float(v.margin))
+        for i, v in enumerate(verdicts_i) if not v.holds
     ]
-    failures = [r for r in records_i if not r.holds]
-    failures += pair_records(np.flatnonzero(~holds))
-    records: list[PairVerdict] = []
-    if collect_all:
-        records = records_i + pair_records(np.arange(margins.size))
+    failures += [
+        PairVerdict((i, j), ("ii", "iii")[col], m)
+        for i, j, col, m in zip(
+            iu[p].tolist(), ju[p].tolist(), c.tolist(), margins[p, c].tolist()
+        )
+    ]
 
-    min_margins = {"i": min(r.margin for r in records_i)}
+    min_margins = {"i": min(float(v.margin) for v in verdicts_i)}
     if len(iu):
         min_margins["ii"] = float(margins[:, 0].min())
         min_margins["iii"] = float(margins[:, 1].min())
@@ -517,7 +479,6 @@ def _validate_model(fam: ModelFamily, tol: float, collect_all: bool) -> Validati
         failures=failures,
         checked={"i": k, "ii": len(iu), "iii": len(iu)},
         min_margins=min_margins,
-        _all_records=records,
     )
 
 
@@ -532,9 +493,9 @@ class ProbeReport:
 
     Disagreements are counted per condition pair; a disagreement is
     "boundary" when either formulation's scale-normalized margin is
-    within ``tol_boundary`` of zero.  ``big_cap_disagreements`` counts
-    how many non-boundary disagreements fall in the theta_i + theta_j > pi
-    regime, where the cap-overlap condition (iii) is strictly weaker than
+    within ``tol_boundary`` (TOL_BOUNDARY) of zero.
+    ``big_cap_disagreements`` counts how many non-boundary disagreements
+    fall in the theta_i + theta_j > pi regime, where the cap-overlap condition (iii) is strictly weaker than
     the positive-combination condition (III); outside that regime the
     systems agree exactly.
     """
@@ -623,7 +584,7 @@ def _sample_spacelike(
     return np.ascontiguousarray(rows.T), norms
 
 
-def _probe_block(a, b, n1, n2, tol_boundary):
+def _probe_block(a, b, n1, n2):
     """Both condition systems on one block of sample pairs.
 
     ``a`` and ``b`` are (n + 1, rows) column blocks and ``n1``, ``n2``
@@ -659,7 +620,7 @@ def _probe_block(a, b, n1, n2, tol_boundary):
     # projection classifies with the relative guard band of sign_class, so
     # near-null vectors file as boundary points and fail (i); any mismatch
     # with the strict sign in (I) lies inside the band by construction
-    verdict_i = (n1 < -tol_boundary * e1) & (n2 < -tol_boundary * e2)
+    verdict_i = (n1 < -TOL_BOUNDARY * e1) & (n2 < -TOL_BOUNDARY * e2)
     val_ii = np.cos(delta) - np.cos(theta1) * np.cos(theta2)
     val_iii = theta1 + theta2 - delta
 
@@ -667,8 +628,8 @@ def _probe_block(a, b, n1, n2, tol_boundary):
               "n1": n1, "n2": n2, "h": h}
     pairs = {
         "I/i": (verdict_I, verdict_i, m_I, m_I),
-        "II/ii": (verdict_II, val_ii <= tol_boundary, m_II, -val_ii),
-        "III/iii": (verdict_III, val_iii >= -tol_boundary, m_III, val_iii),
+        "II/ii": (verdict_II, val_ii <= TOL_BOUNDARY, m_II, -val_ii),
+        "III/iii": (verdict_III, val_iii >= -TOL_BOUNDARY, m_III, val_iii),
     }
     return values, pairs
 
@@ -677,7 +638,6 @@ def equivalence_probe(
     n: int,
     samples: int,
     seed: int = 0,
-    tol_boundary: float = TOL_BOUNDARY,
     max_examples: int = 10,
 ) -> ProbeReport:
     """Draw random space-like pairs and compare the two condition systems.
@@ -704,12 +664,10 @@ def equivalence_probe(
     big_cap = iii_without_III = III_without_iii = 0
     for lo in range(0, samples, _PROBE_BLOCK):
         rows = slice(lo, lo + _PROBE_BLOCK)
-        values, pairs = _probe_block(
-            v1[:, rows], v2[:, rows], q1[rows], q2[rows], tol_boundary
-        )
+        values, pairs = _probe_block(v1[:, rows], v2[:, rows], q1[rows], q2[rows])
         for name, (va, vb, ma, mb) in pairs.items():
             diff = va != vb
-            near = np.minimum(np.abs(ma), np.abs(mb)) <= tol_boundary
+            near = np.minimum(np.abs(ma), np.abs(mb)) <= TOL_BOUNDARY
             idx = np.flatnonzero(diff & ~near)
             disagreements[name] += len(idx)
             boundary[name] += int(np.count_nonzero(diff & near))
@@ -740,7 +698,7 @@ def equivalence_probe(
         n=n,
         samples=samples,
         seed=seed,
-        tol_boundary=tol_boundary,
+        tol_boundary=TOL_BOUNDARY,
         disagreements=disagreements,
         boundary_disagreements=boundary,
         big_cap_disagreements=big_cap,

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalError
-from .lorentz import DEFAULT_SIGN_TOL, sign_class
+from .lorentz import sign_class
 
 #: unit-vector tolerance for cap feet
 UNIT_TOL = 1e-12
@@ -112,7 +112,7 @@ class OrthDisc:
         return np.column_stack([np.ones(count), spatial])
 
 
-def project(v, tol: float = DEFAULT_SIGN_TOL) -> KleinPoint:
+def project(v) -> KleinPoint:
     """Central projection of a nonzero vector onto the model section.
 
     The result is a positive multiple of ``v`` whose region agrees with
@@ -123,7 +123,7 @@ def project(v, tol: float = DEFAULT_SIGN_TOL) -> KleinPoint:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("expected a vector of dimension >= 2")
-    s = sign_class(v, tol)  # raises on the zero vector
+    s = sign_class(v)  # raises on the zero vector
     x0 = float(v[0])
     spatial = v[1:]
     spn = float(np.linalg.norm(spatial))
@@ -193,7 +193,7 @@ def cap_angular_distance(c1: CapRep, c2: CapRep) -> float:
 # figure data (n = 2): point streams for external plotting
 # ---------------------------------------------------------------------------
 
-def figure_streams(caps: list[CapRep], samples: int = 256) -> dict[str, np.ndarray]:
+def figure_streams(caps: list[CapRep]) -> dict[str, np.ndarray]:
     """Numeric point streams describing the n = 2 model and a cap family.
 
     Returns named arrays of rows (x0, x1, x2): the two disc rims, a wire
@@ -203,6 +203,7 @@ def figure_streams(caps: list[CapRep], samples: int = 256) -> dict[str, np.ndarr
     """
     if any(cap.n != 2 for cap in caps):
         raise ValueError("figure streams are only produced for n = 2")
+    samples = 256  # points per curve
     phi = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     circle = np.column_stack([np.cos(phi), np.sin(phi)])
 

@@ -56,18 +56,18 @@ def inner(u, v):
     return out
 
 
-def sign_class(u, tol: float = DEFAULT_SIGN_TOL) -> int:
+def sign_class(u) -> int:
     """Sign of the H-norm of ``u``: +1 time-like, -1 space-like, 0 null.
 
-    The zero band is ``tol`` relative to the Euclidean norm squared, so
-    the classification is invariant under positive scaling.
+    The zero band is DEFAULT_SIGN_TOL relative to the Euclidean norm
+    squared, so the classification is invariant under positive scaling.
     """
     u = np.asarray(u, dtype=float)
     eucl = float(u @ u)
     if eucl == 0.0:
         raise ValueError("sign_class of the zero vector is undefined")
     q = inner(u, u)
-    band = tol * eucl
+    band = DEFAULT_SIGN_TOL * eucl
     if q > band:
         return 1
     if q < -band:

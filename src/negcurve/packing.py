@@ -43,6 +43,13 @@ from .klein import CapRep, cap_angular_distance
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
 
+#: how far the minimum center distance of a system handed to
+#: :func:`partition` may be from 1
+NORMALIZED_TOL = 1e-9
+
+#: guard band of the cone-separation check on the far-pair aperture
+CONE_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # ball systems
@@ -88,12 +95,12 @@ class BallSystem:
         d = self.dist[np.triu_indices(len(self.balls), k=1)]
         return float(np.min(d))
 
-    def check_valid(self, tol: float = TOL_BOUNDARY) -> list[tuple[int, int, str]]:
+    def check_valid(self) -> list[tuple[int, int, str]]:
         """Violations of the system invariants, as (i, j, which) triples.
 
         Valid systems satisfy, for every pair: no center lies in the
         other open ball (delta_ij >= radius_j) and the closed balls
-        intersect (delta_ij <= radius_i + radius_j).
+        intersect (delta_ij <= radius_i + radius_j), within TOL_BOUNDARY.
         """
         k = len(self.balls)
         r = self.radii
@@ -101,8 +108,8 @@ class BallSystem:
         d = self.dist[iu, ju]
         # one row per pair in row-major order, columns in the order reported
         bad = np.column_stack([
-            d < np.maximum(r[iu], r[ju]) - tol,
-            d > r[iu] + r[ju] + tol,
+            d < np.maximum(r[iu], r[ju]) - TOL_BOUNDARY,
+            d > r[iu] + r[ju] + TOL_BOUNDARY,
         ])
         p, which = np.divmod(np.flatnonzero(bad), 2)
         kinds = ("center-inside", "disjoint-closures")
@@ -149,42 +156,43 @@ def hemisphere_filter(fam: ModelFamily) -> ModelFamily:
     )
 
 
-def _require_hemisphere(fam: ModelFamily, tol: float) -> None:
+def _require_hemisphere(fam: ModelFamily) -> None:
     for idx, cap in enumerate(fam.caps):
-        if cap.theta > math.pi / 2 + tol:
+        if cap.theta > math.pi / 2 + TOL_BOUNDARY:
             raise ValueError(
                 f"family is not hemisphere-filtered: cap {idx} has "
                 f"theta = {cap.theta:.6f} > pi/2"
             )
 
 
-def reduce_ii_star(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> list[tuple[tuple[int, int], bool, float]]:
-    """Verdict of theta_i < delta_ij (+ guard band) for every ordered pair.
+def reduce_ii_star(fam: ModelFamily) -> list[tuple[tuple[int, int], bool, float]]:
+    """Verdict of theta_i < delta_ij (+ TOL_BOUNDARY) for every ordered pair.
 
     Requires a hemisphere-filtered family; there the full angular
     condition (ii) implies this reduced form.
     """
-    _require_hemisphere(fam, tol)
+    _require_hemisphere(fam)
     k = len(fam)
     z, theta = cap_arrays(fam.caps)
     delta = pair_margins(z, theta)[0]
     margin = delta - theta[:, None]
     i, j = np.nonzero(~np.eye(k, dtype=bool))
     m = margin[i, j]
+    ok = m >= -TOL_BOUNDARY
     return [
         ((a, b), ok, x)
-        for a, b, ok, x in zip(i.tolist(), j.tolist(), (m >= -tol).tolist(), m.tolist())
+        for a, b, ok, x in zip(i.tolist(), j.tolist(), ok.tolist(), m.tolist())
     ]
 
 
-def to_ball_system(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> BallSystem:
+def to_ball_system(fam: ModelFamily) -> BallSystem:
     """Transcribe caps into balls: radii = theta, distances = delta.
 
     Rejects families violating the reduced center condition or the
-    touching condition with :class:`InvalidFamilyError`, naming the
-    offending pair.
+    touching condition beyond TOL_BOUNDARY with
+    :class:`InvalidFamilyError`, naming the offending pair.
     """
-    _require_hemisphere(fam, tol)
+    _require_hemisphere(fam)
     k = len(fam)
     if k == 0:
         raise ValueError("cannot transcribe an empty family")
@@ -193,12 +201,12 @@ def to_ball_system(fam: ModelFamily, tol: float = TOL_BOUNDARY) -> BallSystem:
         for j in range(i + 1, k):
             delta = cap_angular_distance(fam.caps[i], fam.caps[j])
             ti, tj = fam.caps[i].theta, fam.caps[j].theta
-            if delta < max(ti, tj) - tol:
+            if delta < max(ti, tj) - TOL_BOUNDARY:
                 raise InvalidFamilyError(
                     f"pair ({i}, {j}) violates the center condition: "
                     f"delta = {delta:.6f} < max theta = {max(ti, tj):.6f}"
                 )
-            if delta > ti + tj + tol:
+            if delta > ti + tj + TOL_BOUNDARY:
                 raise InvalidFamilyError(
                     f"pair ({i}, {j}) violates the touching condition: "
                     f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
@@ -236,7 +244,7 @@ class PartitionResult:
     far: tuple[int, ...]
 
 
-def partition(sys: BallSystem, tol: float = 1e-9) -> PartitionResult:
+def partition(sys: BallSystem) -> PartitionResult:
     """Split at center distance 2 from the first pivot ball's center.
 
     The pivot pair realizes the minimum distance (ties broken by lowest
@@ -244,7 +252,7 @@ def partition(sys: BallSystem, tol: float = 1e-9) -> PartitionResult:
     Requires a normalized system.
     """
     dmin = sys.min_distance()
-    if abs(dmin - 1.0) > tol:
+    if abs(dmin - 1.0) > NORMALIZED_TOL:
         raise ValueError(
             f"partition requires a normalized system (min distance 1), got {dmin!r}"
         )
@@ -382,18 +390,19 @@ def far_bound(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def fit_constants(horizon: int = FIT_HORIZON) -> tuple[float, float]:
+def fit_constants() -> tuple[float, float]:
     """Envelope constants (u, v) with u * v^(n+1) >= total count for every
-    n up to ``horizon``.
+    n up to FIT_HORIZON.
 
     v is the worst growth ratio of the far count (floored at 2, the near
     count's own ratio); u then absorbs the finitely many prefactors.
     """
-    totals = [2 * (near_bound(k) + far_bound(k)) for k in range(1, horizon + 1)]
-    ratios = [far_bound(k + 1) / far_bound(k) for k in range(1, horizon)]
+    ranks = range(1, FIT_HORIZON + 1)
+    totals = [2 * (near_bound(k) + far_bound(k)) for k in ranks]
+    ratios = [far_bound(k + 1) / far_bound(k) for k in ranks[:-1]]
     v = max(2.0, max(ratios))
-    u = max(t / v ** (k + 1) for k, t in zip(range(1, horizon + 1), totals))
-    for k, t in zip(range(1, horizon + 1), totals):
+    u = max(t / v ** (k + 1) for k, t in zip(ranks, totals))
+    for k, t in zip(ranks, totals):
         assert u * v ** (k + 1) >= t
     return u, v
 
@@ -430,11 +439,11 @@ class BoundReport:
         }
 
 
-def total_bound(n: int, horizon: int = FIT_HORIZON) -> BoundReport:
+def total_bound(n: int) -> BoundReport:
     """Total family-size bound 2 * (near + far) with the fitted envelope."""
     nb = near_bound(n)
     fb = far_bound(n)
-    u, v = fit_constants(horizon)
+    u, v = fit_constants()
     total = 2 * (nb + fb)
     return BoundReport(
         n=n,
@@ -446,7 +455,7 @@ def total_bound(n: int, horizon: int = FIT_HORIZON) -> BoundReport:
         u=u,
         v=v,
         envelope=u * v ** (n + 1),
-        horizon=horizon,
+        horizon=FIT_HORIZON,
         near_bound_volume=near_bound_volume(n),
     )
 
@@ -463,7 +472,7 @@ class ConeSeparationReport:
     between two far centers (law of cosines on the distance matrix);
     ``min_aperture`` is twice that, the excluded-cone aperture the pair
     realizes.  The check passes when the aperture clears the constant
-    within ``tol``.
+    within ``tol`` (CONE_TOL).
     """
 
     min_angle: float
@@ -485,10 +494,10 @@ class ConeSeparationReport:
 
 
 def verify_cone_separation(
-    sys: BallSystem, part: PartitionResult, tol: float = 1e-6
+    sys: BallSystem, part: PartitionResult
 ) -> ConeSeparationReport:
     """Check every far pair subtends at least half the cone aperture at the
-    pivot (equivalently, realizes aperture >= far_cone_angle() - tol)."""
+    pivot (equivalently, realizes aperture >= far_cone_angle() - CONE_TOL)."""
     if not part.far:
         raise ValueError("the far set is empty")
     z0 = part.pivot[0]
@@ -511,14 +520,12 @@ def verify_cone_separation(
         min_aperture=aperture,
         witness=best[1],
         threshold=threshold,
-        tol=tol,
-        passed=aperture >= threshold - tol,
+        tol=CONE_TOL,
+        passed=aperture >= threshold - CONE_TOL,
     )
 
 
-def cone_separation_infimum(
-    grid: int = 400, span: float = 40.0
-) -> tuple[float, float, tuple[float, float]]:
+def cone_separation_infimum() -> tuple[float, float, tuple[float, float]]:
     """Minimize the far-pair angle over the constraint system by a grid scan.
 
     Two far centers at distances k, r >= 2 from the pivot must keep their
@@ -526,11 +533,11 @@ def cone_separation_infimum(
     the other's ball, whose radius exceeds its pivot distance minus the
     pivot radius < 1).  Eliminating d caps cos(angle) by
     min((k^2 + 2r - 1)/(2kr), (r^2 + 2k - 1)/(2kr)); the returned triple
-    is (min_angle, aperture, argmin (k, r)) over a ``grid`` x ``grid``
-    scan of [2, span]^2.  The grid holds the corner k = r = 2, where the
-    bound is exactly 7/8 and attains its supremum.
+    is (min_angle, aperture, argmin (k, r)) over a 400 x 400 scan of
+    [2, 40]^2.  The grid holds the corner k = r = 2, where the bound is
+    exactly 7/8 and attains its supremum.
     """
-    ks = np.linspace(2.0, span, grid)
+    ks = np.linspace(2.0, 40.0, 400)
     kk, rr = np.meshgrid(ks, ks, indexing="ij")
     f1 = (kk * kk + 2.0 * rr - 1.0) / (2.0 * kk * rr)
     f2 = (rr * rr + 2.0 * kk - 1.0) / (2.0 * kk * rr)

@@ -26,10 +26,10 @@ import mpmath
 import numpy as np
 
 from .conditions import (
-    DEGENERATE_DELTA,
     TOL_BOUNDARY,
     ModelFamily,
     cap_arrays,
+    coincident_feet,
     pair_margin,
     pair_margins,
 )
@@ -49,6 +49,9 @@ CERTIFY_FLOOR = mpmath.mpf("-1e-30")
 #: and no double can represent it
 RIGHT_ANGLE = math.pi / 2
 
+#: largest candidate set :func:`exact_max` accepts
+MAX_CLIQUE_CUTOFF = 256
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -59,7 +62,6 @@ class SearchParams:
     restarts: int = 8
     candidate_grid: float = math.pi / 12
     random_candidates: int = 64
-    max_clique_cutoff: int = 256
 
     def __post_init__(self):
         if self.n < 2:
@@ -81,9 +83,10 @@ class CertificateEntry:
 class Certificate:
     """High-precision re-verification of a configuration.
 
-    All pair margins are recomputed at ``digits`` significant digits from
-    the stored coordinates; the certificate is valid when no margin falls
-    below the tiny negative floor reserved for exact-boundary pairs.
+    All pair margins are recomputed at ``digits`` (CERTIFY_DPS)
+    significant digits from the stored coordinates; the certificate is
+    valid when no margin falls below the tiny negative floor reserved for
+    exact-boundary pairs.
     """
 
     valid: bool
@@ -147,8 +150,9 @@ class SearchResult:
         }
 
 
-def compatible(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> bool:
-    """Pairwise compatibility: conditions (ii) and (iii) both hold.
+def compatible(c1: CapRep, c2: CapRep) -> bool:
+    """Pairwise compatibility: conditions (ii) and (iii) both hold within
+    TOL_BOUNDARY.
 
     Caps with coincident feet are never compatible here (the pair checks
     reject them as degenerate, but a total relation is needed to build
@@ -158,21 +162,22 @@ def compatible(c1: CapRep, c2: CapRep, tol: float = TOL_BOUNDARY) -> bool:
         m_ii, m_iii = pair_margin(c1, c2)
     except DegenerateCapPairError:
         return False
-    return m_ii >= -tol and m_iii >= -tol
+    return m_ii >= -TOL_BOUNDARY and m_iii >= -TOL_BOUNDARY
 
 
-def _compatibility_matrix(caps: list[CapRep], tol: float) -> np.ndarray:
+def _compatibility_matrix(caps: list[CapRep]) -> np.ndarray:
     """The relation :func:`compatible` over all pairs, as a symmetric (k, k)
     boolean matrix with a false diagonal."""
-    delta, m_ii, m_iii = pair_margins(*cap_arrays(caps))
-    ok = (delta > DEGENERATE_DELTA) & (m_ii >= -tol) & (m_iii >= -tol)
+    z, theta = cap_arrays(caps)
+    _, m_ii, m_iii = pair_margins(z, theta)
+    ok = ~coincident_feet(z) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
     # the verdict of the pair i < j decides both entries
     ok = np.triu(ok, 1)
     return ok | ok.T
 
 
-def certify(caps: ModelFamily, digits: int = CERTIFY_DPS) -> Certificate:
-    """Recompute every pair margin at high precision.
+def certify(caps: ModelFamily) -> Certificate:
+    """Recompute every pair margin at CERTIFY_DPS digits.
 
     An empty or single-cap family certifies vacuously.  Fails when any
     margin drops below the floor, naming the pair and the condition.
@@ -180,10 +185,11 @@ def certify(caps: ModelFamily, digits: int = CERTIFY_DPS) -> Certificate:
     k = len(caps)
     if k < 2:
         return Certificate(
-            valid=True, digits=digits, min_margin=math.inf, worst=None, violations=()
+            valid=True, digits=CERTIFY_DPS, min_margin=math.inf, worst=None,
+            violations=(),
         )
     entries: list[CertificateEntry] = []
-    with mpmath.workdps(digits):
+    with mpmath.workdps(CERTIFY_DPS):
         zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
         thetas = [
             mpmath.pi / 2 if cap.theta == RIGHT_ANGLE else mpmath.mpf(cap.theta)
@@ -204,7 +210,7 @@ def certify(caps: ModelFamily, digits: int = CERTIFY_DPS) -> Certificate:
     worst = min(entries, key=lambda e: e.margin)
     return Certificate(
         valid=not violations,
-        digits=digits,
+        digits=CERTIFY_DPS,
         min_margin=worst.margin,
         worst=worst,
         violations=violations,
@@ -310,8 +316,8 @@ def _greedy_order(caps: list[CapRep]) -> list[int]:
     return sorted(range(len(caps)), key=lambda i: (-caps[i].theta, caps[i].z))
 
 
-def _greedy_clique(caps: list[CapRep], tol: float) -> list[int]:
-    adj = _compatibility_matrix(caps, tol)
+def _greedy_clique(caps: list[CapRep]) -> list[int]:
+    adj = _compatibility_matrix(caps)
     # candidates compatible with every cap chosen so far
     open_ = np.ones(len(caps), dtype=bool)
     chosen: list[int] = []
@@ -330,7 +336,7 @@ def _config_key(caps: list[CapRep]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
+def greedy_max(params: SearchParams) -> SearchResult:
     """Best greedy clique over ``restarts`` independently seeded candidate
     draws; deterministic for a fixed seed (the reduction is max by size
     with certificate-hash tie-break).
@@ -342,7 +348,7 @@ def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
         caps = candidate_caps(params, np.random.default_rng(seq))
-        picked = [caps[i] for i in _greedy_clique(caps, tol)]
+        picked = [caps[i] for i in _greedy_clique(caps)]
         outcomes.append((len(picked), _config_key(picked), picked))
     size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
 
@@ -366,11 +372,11 @@ def greedy_max(params: SearchParams, tol: float = TOL_BOUNDARY) -> SearchResult:
 # exact maximum clique
 # ---------------------------------------------------------------------------
 
-def _adjacency_masks(caps: list[CapRep], tol: float) -> list[int]:
+def _adjacency_masks(caps: list[CapRep]) -> list[int]:
     """Row i of the compatibility matrix as a Python-int bitset (bit j set
     when caps i and j are compatible); Python ints, since numpy shifts
     overflow past bit 63."""
-    rows = np.packbits(_compatibility_matrix(caps, tol), axis=1, bitorder="little")
+    rows = np.packbits(_compatibility_matrix(caps), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -410,21 +416,20 @@ def _max_clique_bitset(masks: list[int]) -> list[int]:
     return best
 
 
-def exact_max(
-    params: SearchParams, candidates: list[CapRep], tol: float = TOL_BOUNDARY
-) -> SearchResult:
+def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
     """True maximum clique over an explicit candidate set.
 
-    Refuses candidate sets above ``params.max_clique_cutoff`` (fall back
-    to :func:`greedy_max` there).
+    Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
+    :func:`greedy_max` there).  The candidates alone decide the result;
+    ``params`` is not read.
     """
-    if len(candidates) > params.max_clique_cutoff:
+    if len(candidates) > MAX_CLIQUE_CUTOFF:
         raise ValueError(
             f"{len(candidates)} candidates exceed the exact-search cutoff "
-            f"{params.max_clique_cutoff}; use greedy_max instead"
+            f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
         )
     t0 = time.perf_counter()
-    masks = _adjacency_masks(candidates, tol)
+    masks = _adjacency_masks(candidates)
     chosen = sorted(_max_clique_bitset(masks))
     family = ModelFamily([candidates[i] for i in chosen])
     cert = certify(family)

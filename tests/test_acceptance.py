@@ -350,7 +350,7 @@ def test_criterion_7_search_lower_bounds():
 
     rng = np.random.default_rng(777)
     agree = 0
-    params = SearchParams(n=3, max_clique_cutoff=64)
+    params = SearchParams(n=3)
     for _ in range(100):
         count = int(rng.integers(4, 21))
         caps = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,41 @@ def test_reports_byte_identical_across_processes(tmp_path):
     p = run_cli(["probe", "--n", "2", "--samples", "1000", "--seed", "9"])
     q = run_cli(["probe", "--n", "2", "--samples", "1000", "--seed", "9"])
     assert p.stdout == q.stdout
+
+
+def standard_family(n):
+    """The n classes E_i of the standard lattice I_{1,n}, a valid family."""
+    gram = [[(i == j) * (1 if i == 0 else -1) for j in range(n + 1)] for i in range(n + 1)]
+    return {"gram": gram, "curves": gram[1:]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, code",
+    [
+        ("validate", standard_family(40), 0),
+        ("embed", standard_family(40), 0),
+        ("validate", {"gram": BL3_DOC["gram"], "curves": [[0, 1, 0, 0]] * 2}, 1),
+    ],
+)
+def test_closed_stdout_keeps_exit_code(tmp_path, capsys, command, doc, code):
+    path = write_doc(tmp_path, doc)
+    report = tmp_path / "report.json"
+    # a pipe whose reader is gone: the first write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "negcurve", command, path, "--json", str(report)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" at exit
+    assert main([command, path]) == code
+    assert report.read_text() == capsys.readouterr().out
 
 
 def test_json_file_output_matches_stdout(tmp_path, capsys):

@@ -192,7 +192,7 @@ def test_angular_distance_examples():
 
 def test_figure_streams_shapes():
     caps = [CapRep(z=(1.0, 0.0), theta=math.pi / 3)]
-    streams = figure_streams(caps, samples=64)
+    streams = figure_streams(caps)
     for name in ("disc_plus", "disc_minus", "boundary", "cylinder", "caps",
                  "orth_discs"):
         assert name in streams

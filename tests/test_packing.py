@@ -413,7 +413,7 @@ def test_total_bound_values():
 
 
 def test_envelope_constants():
-    u, v = fit_constants(64)
+    u, v = fit_constants()
     assert v >= 2.0
     for n in range(1, 65):
         assert u * v ** (n + 1) >= total_bound(n).total

@@ -146,7 +146,7 @@ def test_greedy_above_counting_bound_is_numerical_error(monkeypatch):
 
 def test_exact_max_square_with_blocker():
     caps = square_caps() + [circle_cap(0.7)]  # within pi/2 of the first cap
-    params = SearchParams(n=2, max_clique_cutoff=64)
+    params = SearchParams(n=2)
     result = exact_max(params, caps)
     assert result.size == 4
     assert result.best.certificate.valid
@@ -154,7 +154,7 @@ def test_exact_max_square_with_blocker():
 
 
 def test_exact_max_octahedron():
-    params = SearchParams(n=3, max_clique_cutoff=64)
+    params = SearchParams(n=3)
     result = exact_max(params, octahedron_caps())
     assert result.size == 6
 
@@ -165,9 +165,10 @@ def test_exact_max_single_candidate():
 
 
 def test_exact_max_cutoff():
-    params = SearchParams(n=2, max_clique_cutoff=3)
-    with pytest.raises(ValueError, match="greedy_max"):
-        exact_max(params, square_caps())
+    caps = [circle_cap(2 * math.pi * t / 256) for t in range(256)]
+    assert exact_max(SearchParams(n=2), caps).size == 4
+    with pytest.raises(ValueError, match="257 candidates exceed .* 256; use greedy_max"):
+        exact_max(SearchParams(n=2), caps + [circle_cap(0.01)])
 
 
 def random_candidates(rng, n, count):
@@ -181,7 +182,7 @@ def random_candidates(rng, n, count):
 
 
 def test_exact_max_matches_brute_force():
-    params = SearchParams(n=3, max_clique_cutoff=64)
+    params = SearchParams(n=3)
     for trial in range(25):
         count = int(RNG.integers(4, 15))
         caps = random_candidates(RNG, 3, count)
@@ -237,7 +238,7 @@ def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
     params = SearchParams(n=n, candidate_grid=grid)
     caps = candidate_caps(params, np.random.default_rng(17))
     compat = scalar_graph(caps)
-    masks = _adjacency_masks(caps, 1e-9)
+    masks = _adjacency_masks(caps)
     k = len(caps)
     for i in range(k):
         assert masks[i] == sum(1 << j for j in range(k) if compat[i][j])
@@ -246,14 +247,14 @@ def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
     for idx in _greedy_order(caps):
         if all(compat[idx][j] for j in chosen):
             chosen.append(idx)
-    assert _greedy_clique(caps, 1e-9) == chosen
+    assert _greedy_clique(caps) == chosen
 
 
 def test_adjacency_masks_past_bit_63():
     # the first cap faces feet 64..69 across the circle, so its row needs
     # bits past 63 (foot 35 coincides with it)
     caps = [circle_cap(math.pi)] + [circle_cap(2 * math.pi * t / 70) for t in range(1, 70)]
-    masks = _adjacency_masks(caps, 1e-9)
+    masks = _adjacency_masks(caps)
     compat = scalar_graph(caps)
     assert all(compat[0][j] for j in range(64, 70)) and not compat[0][35]
     for i in range(70):
@@ -263,6 +264,6 @@ def test_adjacency_masks_past_bit_63():
 
 def test_compatibility_excludes_coincident_feet():
     caps = [circle_cap(0.0), circle_cap(HALF), CapRep(z=(1.0, 0.0), theta=0.3)]
-    masks = _adjacency_masks(caps, 1e-9)
+    masks = _adjacency_masks(caps)
     assert masks[0] >> 2 & 1 == 0 and masks[2] & 1 == 0
     assert masks[0] >> 1 & 1 == 1
