@@ -68,7 +68,8 @@ class CapRep:
 
     def __post_init__(self):
         zn = math.sqrt(sum(x * x for x in self.z))
-        if abs(zn - 1.0) > UNIT_TOL:
+        # written so that a NaN or infinite foot fails it too
+        if not abs(zn - 1.0) <= UNIT_TOL:
             raise ValueError(f"cap foot must be a unit vector, |z| = {zn!r}")
         if not 0.0 < self.theta < math.pi:
             raise ValueError(f"theta must lie in (0, pi), got {self.theta!r}")
@@ -183,10 +184,6 @@ def angular_distance(z1, z2) -> float:
         if abs(float(z @ z) - 1.0) > 1e-9:
             raise ValueError("angular_distance requires unit vectors")
     return math.acos(min(1.0, max(-1.0, float(z1 @ z2))))
-
-
-def cap_angular_distance(c1: CapRep, c2: CapRep) -> float:
-    return angular_distance(c1.z_array(), c2.z_array())
 
 
 # ---------------------------------------------------------------------------

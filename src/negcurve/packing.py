@@ -29,7 +29,7 @@ aperture 2*arctan(sqrt(15)/7) around each far center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
 from .errors import InvalidFamilyError, NumericalError
-from .klein import CapRep, cap_angular_distance
+from .klein import CapRep
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
@@ -190,32 +190,33 @@ def to_ball_system(fam: ModelFamily) -> BallSystem:
 
     Rejects families violating the reduced center condition or the
     touching condition beyond TOL_BOUNDARY with
-    :class:`InvalidFamilyError`, naming the offending pair.
+    :class:`InvalidFamilyError`, naming the first offending pair of
+    :meth:`BallSystem.check_valid`.
     """
     _require_hemisphere(fam)
-    k = len(fam)
-    if k == 0:
+    if len(fam) == 0:
         raise ValueError("cannot transcribe an empty family")
-    dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            delta = cap_angular_distance(fam.caps[i], fam.caps[j])
-            ti, tj = fam.caps[i].theta, fam.caps[j].theta
-            if delta < max(ti, tj) - TOL_BOUNDARY:
-                raise InvalidFamilyError(
-                    f"pair ({i}, {j}) violates the center condition: "
-                    f"delta = {delta:.6f} < max theta = {max(ti, tj):.6f}"
-                )
-            if delta > ti + tj + TOL_BOUNDARY:
-                raise InvalidFamilyError(
-                    f"pair ({i}, {j}) violates the touching condition: "
-                    f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
-                )
-            dist[i, j] = dist[j, i] = delta
-    balls = tuple(
-        Ball(center=cap.z, radius=cap.theta) for cap in fam.caps
+    dist = pair_margins(*cap_arrays(fam.caps))[0]
+    np.fill_diagonal(dist, 0.0)
+    system = BallSystem(
+        balls=tuple(Ball(center=cap.z, radius=cap.theta) for cap in fam.caps),
+        dist=dist,
+        n=fam.caps[0].n,
     )
-    return BallSystem(balls=balls, dist=dist, n=fam.caps[0].n)
+    violations = system.check_valid()
+    if violations:
+        i, j, which = violations[0]
+        delta, ti, tj = dist[i, j], fam.caps[i].theta, fam.caps[j].theta
+        if which == "center-inside":
+            raise InvalidFamilyError(
+                f"pair ({i}, {j}) violates the center condition: "
+                f"delta = {delta:.6f} < max theta = {max(ti, tj):.6f}"
+            )
+        raise InvalidFamilyError(
+            f"pair ({i}, {j}) violates the touching condition: "
+            f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
+        )
+    return system
 
 
 def normalize_scale(sys: BallSystem) -> BallSystem:
@@ -252,24 +253,19 @@ def partition(sys: BallSystem) -> PartitionResult:
     Requires a normalized system.
     """
     dmin = sys.min_distance()
-    if abs(dmin - 1.0) > NORMALIZED_TOL:
+    if not abs(dmin - 1.0) <= NORMALIZED_TOL:
         raise ValueError(
             f"partition requires a normalized system (min distance 1), got {dmin!r}"
         )
-    k = len(sys.balls)
-    pivot = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(sys.dist[i, j] - dmin) <= 1e-12:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    assert pivot is not None
+    iu, ju = np.triu_indices(len(sys.balls), 1)
+    p = np.flatnonzero(np.abs(sys.dist[iu, ju] - dmin) <= 1e-12)[0]
+    pivot = (int(iu[p]), int(ju[p]))
     d0 = sys.dist[pivot[0]]
-    near = tuple(int(i) for i in range(k) if d0[i] < 2.0)
-    far = tuple(int(i) for i in range(k) if d0[i] >= 2.0)
-    return PartitionResult(pivot=pivot, near=near, far=far)
+    return PartitionResult(
+        pivot=pivot,
+        near=tuple(np.flatnonzero(d0 < 2.0).tolist()),
+        far=tuple(np.flatnonzero(d0 >= 2.0).tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +420,7 @@ class BoundReport:
     near_bound_volume: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rho": self.rho,
-            "near_bound": self.near_bound,
-            "far_bound": self.far_bound,
-            "hemisphere_factor": self.hemisphere_factor,
-            "total": self.total,
-            "u": self.u,
-            "v": self.v,
-            "envelope": self.envelope,
-            "horizon": self.horizon,
-            "near_bound_volume": self.near_bound_volume,
-        }
+        return asdict(self)
 
 
 def total_bound(n: int) -> BoundReport:
@@ -483,14 +467,7 @@ class ConeSeparationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_angle": self.min_angle,
-            "min_aperture": self.min_aperture,
-            "witness": list(self.witness),
-            "threshold": self.threshold,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_cone_separation(
@@ -500,25 +477,25 @@ def verify_cone_separation(
     pivot (equivalently, realizes aperture >= far_cone_angle() - CONE_TOL)."""
     if not part.far:
         raise ValueError("the far set is empty")
-    z0 = part.pivot[0]
-    best = None
-    for a_pos, i in enumerate(part.far):
-        for j in part.far[a_pos + 1 :]:
-            d0i = sys.dist[z0, i]
-            d0j = sys.dist[z0, j]
-            dij = sys.dist[i, j]
-            cos_ang = (d0i * d0i + d0j * d0j - dij * dij) / (2.0 * d0i * d0j)
-            ang = math.acos(min(1.0, max(-1.0, cos_ang)))
-            if best is None or ang < best[0]:
-                best = (ang, (i, j))
-    if best is None:
+    if len(part.far) < 2:
         raise ValueError("need at least two far balls to compare")
+    far = np.array(part.far)
+    a, b = np.triu_indices(len(far), 1)
+    i, j = far[a], far[b]
+    d0i = sys.dist[part.pivot[0], i]
+    d0j = sys.dist[part.pivot[0], j]
+    dij = sys.dist[i, j]
+    cos_ang = (d0i * d0i + d0j * d0j - dij * dij) / (2.0 * d0i * d0j)
+    ang = np.arccos(np.clip(cos_ang, -1.0, 1.0))
+    # argmin takes the first minimum, in row-major pair order
+    p = int(np.argmin(ang))
+    min_angle = float(ang[p])
     threshold = far_cone_angle()
-    aperture = 2.0 * best[0]
+    aperture = 2.0 * min_angle
     return ConeSeparationReport(
-        min_angle=best[0],
+        min_angle=min_angle,
         min_aperture=aperture,
-        witness=best[1],
+        witness=(int(i[p]), int(j[p])),
         threshold=threshold,
         tol=CONE_TOL,
         passed=aperture >= threshold - CONE_TOL,

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath
 import numpy as np
@@ -96,26 +96,7 @@ class Certificate:
     violations: tuple[CertificateEntry, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "digits": self.digits,
-            "min_margin": self.min_margin,
-            "worst": None
-            if self.worst is None
-            else {
-                "indices": list(self.worst.indices),
-                "condition": self.worst.condition,
-                "margin": self.worst.margin,
-            },
-            "violations": [
-                {
-                    "indices": list(v.indices),
-                    "condition": v.condition,
-                    "margin": v.margin,
-                }
-                for v in self.violations
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,15 @@ def test_cap_of_rejects_disc_points():
         cap_of(project((2, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "foot",
+    [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)],
+)
+def test_cap_rejects_non_finite_foot(foot):
+    with pytest.raises(ValueError, match="unit vector"):
+        CapRep(z=foot, theta=1.0)
+
+
 def test_point_of_examples():
     p = point_of(CapRep(z=(1.0, 0.0), theta=math.pi / 2))
     assert p.region is Region.CYLINDER

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 import subprocess
 import sys
@@ -7,9 +10,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from negcurve.conditions import ModelFamily, check_ii
+from negcurve.cli import main
+from negcurve.conditions import ModelFamily, cap_arrays, check_ii, pair_margins
 from negcurve.errors import InvalidFamilyError
-from negcurve.klein import CapRep
+from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
     Ball,
     BallSystem,
@@ -195,6 +199,40 @@ def test_to_ball_system_rejects_center_violation():
         to_ball_system(fam)
 
 
+def test_to_ball_system_agrees_with_pair_kernel():
+    # distances are the kernel's deltas, and the family is rejected exactly
+    # when check_valid() finds a violation, naming the first one
+    rng = np.random.default_rng(4242)
+    words = {"center-inside": "center", "disjoint-closures": "touching"}
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 5))
+        if trial % 2:
+            caps = list(random_valid_family(rng, n, pool=12).caps)
+        else:
+            caps = small_caps(rng, n, int(rng.integers(2, 6)))
+        fam = ModelFamily(caps)
+        delta = pair_margins(*cap_arrays(caps))[0]
+        np.fill_diagonal(delta, 0.0)
+        expected = BallSystem(
+            balls=tuple(Ball(center=c.z, radius=c.theta) for c in caps),
+            dist=delta,
+            n=n,
+        ).check_valid()
+        if expected:
+            i, j, which = expected[0]
+            outcomes.add(which)
+            with pytest.raises(
+                InvalidFamilyError,
+                match=rf"^pair \({i}, {j}\) violates the {words[which]} condition",
+            ):
+                to_ball_system(fam)
+        else:
+            outcomes.add("valid")
+            assert np.array_equal(to_ball_system(fam).dist, delta)
+    assert outcomes == {"valid", "center-inside", "disjoint-closures"}
+
+
 def test_normalize_scale():
     sys = ball_system_from_points([[0.0, 0.0], [4.0, 0.0]], [1.0, 1.5])
     out = normalize_scale(sys)
@@ -265,6 +303,53 @@ def test_partition_requires_normalized():
     sys = ball_system_from_points([[0.0], [2.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
         partition(sys)
+
+
+def scalar_partition_and_cone(sys):
+    """The per-pair reference: the first pair at the minimum distance is
+    the pivot, and the far pair subtending the smallest angle at the pivot
+    center is the witness."""
+    k = len(sys)
+    dmin = sys.min_distance()
+    pivot = next(
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if abs(sys.dist[i, j] - dmin) <= 1e-12
+    )
+    d0 = sys.dist[pivot[0]]
+    far = [i for i in range(k) if d0[i] >= 2.0]
+    best = None
+    for a, i in enumerate(far):
+        for j in far[a + 1 :]:
+            dij = sys.dist[i, j]
+            cos_ang = (d0[i] * d0[i] + d0[j] * d0[j] - dij * dij) / (2.0 * d0[i] * d0[j])
+            ang = math.acos(min(1.0, max(-1.0, cos_ang)))
+            if best is None or ang < best[0]:
+                best = (ang, (i, j))
+    return pivot, tuple(far), best
+
+
+def test_partition_and_cone_separation_match_scalar_oracle():
+    rng = np.random.default_rng(2718)
+    compared = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(3, 12))
+        pts = rng.uniform(-3.0, 3.0, size=(k, n))
+        sys = normalize_scale(ball_system_from_points(pts, np.full(k, 0.5)))
+        pivot, far, best = scalar_partition_and_cone(sys)
+        part = partition(sys)
+        assert part.pivot == pivot and part.far == far
+        if best is None:
+            continue
+        compared += 1
+        report = verify_cone_separation(sys, part)
+        # np.arccos may differ from math.acos in the last ulp; the random
+        # points have no tied angles
+        assert report.min_angle == pytest.approx(best[0], rel=1e-14)
+        assert report.witness == best[1]
+    assert compared > 50
 
 
 def test_partition_exhaustive_disjoint_idempotent():
@@ -499,23 +584,67 @@ def random_valid_family(rng, n, pool=24):
     return ModelFamily(caps)
 
 
+def del_pezzo_lines(r):
+    """The (-1)-curves d*H - sum m_i E_i of P^2 blown up in r <= 7 points,
+    c^2 = K.c = -1, as classes of I_{1,r} in the basis (H, E_1, ..., E_r)."""
+    lines = []
+    for d in range(4):
+        for m in itertools.product(range(-1, d + 1), repeat=r):
+            if d * d - sum(x * x for x in m) == -1 and 3 * d - sum(m) == 1:
+                lines.append([d, *(-x for x in m)])
+    return lines
+
+
+def test_del_pezzo_line_counts():
+    assert [len(del_pezzo_lines(r)) for r in range(2, 8)] == [3, 6, 10, 16, 27, 56]
+
+
 def test_far_counts_and_cone_separation_on_valid_systems():
     rng = np.random.default_rng(808)
     checked_far = 0
+
+    def check(fam, n):
+        sys = normalize_scale(to_ball_system(fam))
+        part = partition(sys)
+        assert len(part.far) <= far_bound(n)
+        if len(part.far) < 2:
+            return 0
+        report = verify_cone_separation(sys, part)
+        assert report.min_aperture >= report.threshold - 1e-6
+        return 1
+
     for n in (2, 3, 4, 5):
         for _ in range(150):
             fam = random_valid_family(rng, n)
             if len(fam) < 2:
                 continue
-            sys = normalize_scale(to_ball_system(fam))
-            part = partition(sys)
-            assert len(part.far) <= far_bound(n)
-            if len(part.far) >= 2:
-                checked_far += 1
-                report = verify_cone_separation(sys, part)
-                assert report.min_aperture >= report.threshold - 1e-6
-    # the loop must actually have exercised some far sets
-    assert checked_far >= 0
+            checked_far += check(fam, n)
+    # these random families stay within distance 2 of the pivot; the del
+    # Pezzo lines at n = 4, 5, 6 reach two or more far balls
+    for n in (4, 5, 6):
+        lines = del_pezzo_lines(n)
+        checked_far += check(ModelFamily([cap_of(project(c)) for c in lines]), n)
+    assert checked_far > 0
+
+
+#: sha256 of the `bound --file` stdout on the del Pezzo lines in the
+#: identity basis, as recorded before the pipeline moved onto the shared
+#: pair kernel
+BOUND_FILE_GOLDENS = {
+    4: "40f73e5759eb482a8069664132bba1e8f02db87964b24bf5d3ff3925bdf4c786",
+    5: "12d034f7a40f42366ff17a04c7ea713ebcb4094fa434cd4b3d38fd34420dc0ed",
+    6: "6453ac8743f53e7fe7b3eb53493ca16f4d18c4734cdb1365b349d046991a18bb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BOUND_FILE_GOLDENS))
+def test_bound_file_golden_on_del_pezzo_lines(tmp_path, capsys, n):
+    doc = {"gram": np.diag([1] + [-1] * n).tolist(), "curves": del_pezzo_lines(n)}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_FILE_GOLDENS[n]
 
 
 def valid_far_pair_system(alpha, t):
