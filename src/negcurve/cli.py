@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -65,13 +64,6 @@ EXIT_NUMERIC = 3
 # input documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InputDocument:
-    lattice: QuadraticLattice
-    family: CurveFamily
-    labels: tuple[str, ...] | None
-
-
 def _int_matrix(raw, what: str) -> list[list[int]]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{what} must be a nonempty array")
@@ -88,7 +80,7 @@ def _int_matrix(raw, what: str) -> list[list[int]]:
     return out
 
 
-def load_document(path: str | Path) -> InputDocument:
+def load_document(path: str | Path) -> CurveFamily:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -109,17 +101,16 @@ def load_document(path: str | Path) -> InputDocument:
     except ValueError as exc:  # SignatureError included
         raise InputError(f"gram matrix rejected: {exc}") from exc
     try:
-        family = CurveFamily(lattice, curves, labels)
+        return CurveFamily(lattice, curves, labels)
     except ValueError as exc:
         raise InputError(f"curves rejected: {exc}") from exc
-    return InputDocument(lattice=lattice, family=family, labels=labels)
 
 
-def _document_inputs(doc: InputDocument) -> dict:
+def _document_inputs(fam: CurveFamily) -> dict:
     """The ``inputs`` a report digests for a family document."""
     return {
-        "gram": [list(r) for r in doc.lattice.gram],
-        "curves": [list(c) for c in doc.family.classes],
+        "gram": [list(r) for r in fam.lattice.gram],
+        "curves": [list(c) for c in fam.classes],
     }
 
 
@@ -151,7 +142,10 @@ def _emit(report: dict, json_path: str | None) -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     if json_path:
-        Path(json_path).write_text(text + "\n")
+        try:
+            Path(json_path).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {json_path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -163,25 +157,25 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    doc = load_document(args.file)
-    report = validate_family(doc.family)
-    _emit(_report("validate", _document_inputs(doc), report.to_json_dict()), args.json)
+    fam = load_document(args.file)
+    report = validate_family(fam)
+    _emit(_report("validate", _document_inputs(fam), report.to_json_dict()), args.json)
     return EXIT_OK if report.overall else EXIT_INVALID
 
 
-def _embed_records(doc: InputDocument):
+def _embed_records(fam: CurveFamily):
     records = []
     caps = []
-    for idx, cls in enumerate(doc.family.classes):
-        vec = embed_class(doc.lattice, cls)
+    for idx, cls in enumerate(fam.classes):
+        vec = embed_class(fam.lattice, cls)
         point = project(vec)
-        label = doc.labels[idx] if doc.labels else str(idx)
+        label = fam.labels[idx] if fam.labels else str(idx)
         rec = {
             "label": label,
             "class": list(cls),
             "region": point.region.value,
             "coords": [float(x) for x in point.coords],
-            "norm": int(doc.lattice.norm(cls)),
+            "norm": int(fam.lattice.norm(cls)),
             "in_cylinder": point.region is Region.CYLINDER,
         }
         if point.region is Region.CYLINDER:
@@ -194,36 +188,36 @@ def _embed_records(doc: InputDocument):
 
 
 def cmd_embed(args) -> int:
-    doc = load_document(args.file)
-    validation = validate_family(doc.family)
+    fam = load_document(args.file)
+    validation = validate_family(fam)
     if not validation.overall and not args.force:
         _emit(
             _report(
                 "embed",
-                _document_inputs(doc),
+                _document_inputs(fam),
                 {"error": "family fails validation; rerun with --force",
                  "validation": validation.to_json_dict()},
             ),
             args.json,
         )
         return EXIT_INVALID
-    records, caps = _embed_records(doc)
+    records, caps = _embed_records(fam)
     outputs = {"classes": records, "validated": validation.overall}
     if args.figure_data:
-        if doc.lattice.rank != 3:
+        if fam.lattice.rank != 3:
             raise InputError("figure data is only emitted for rank-3 documents (n = 2)")
         out_dir = Path(args.figure_data)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        streams = figure_streams(caps)
         written = []
-        for name, rows in sorted(streams.items()):
-            path = out_dir / f"{name}.txt"
-            with path.open("w") as fh:
-                for row in rows:
-                    fh.write(" ".join(_fmt(x) for x in row) + "\n")
-            written.append(str(path))
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, rows in sorted(figure_streams(caps).items()):
+                path = out_dir / f"{name}.txt"
+                path.write_text("".join(" ".join(map(_fmt, row)) + "\n" for row in rows))
+                written.append(str(path))
+        except OSError as exc:
+            raise InputError(f"cannot write {out_dir}: {exc}") from exc
         outputs["figure_files"] = written
-    _emit(_report("embed", _document_inputs(doc), outputs), args.json)
+    _emit(_report("embed", _document_inputs(fam), outputs), args.json)
     return EXIT_OK
 
 
@@ -238,12 +232,12 @@ def cmd_bound(args) -> int:
         outputs["bound"] = total_bound(args.n).to_json_dict()
         inputs["n"] = args.n
     if args.file is not None:
-        doc = load_document(args.file)
-        inputs.update(_document_inputs(doc))
-        n = doc.lattice.rank - 1
+        family = load_document(args.file)
+        inputs.update(_document_inputs(family))
+        n = family.lattice.rank - 1
         outputs.setdefault("bound", total_bound(n).to_json_dict())
-        _, caps = _embed_records(doc)
-        if len(caps) != len(doc.family.classes):
+        _, caps = _embed_records(family)
+        if len(caps) != len(family):
             raise InputError("some classes do not project onto the cylinder")
         fam = hemisphere_filter(ModelFamily(caps))
         pipeline: dict = {"hemisphere_kept": len(fam)}

@@ -307,7 +307,9 @@ class ModelFamily:
 
 @dataclass(frozen=True, slots=True)
 class PairVerdict:
-    """One condition failing on one element or pair."""
+    """The signed margin of one condition on one element or pair: a
+    failure in a :class:`ValidationReport`, or any entry of a search
+    certificate."""
 
     indices: tuple[int, ...]
     condition: str
@@ -348,21 +350,15 @@ class ValidationReport:
 
 
 def _pair_matrix(lat: QuadraticLattice, classes) -> np.ndarray:
-    """All pairwise intersection numbers, exactly, as an object array of ints.
-
-    Uses int64 matrix products when a conservative magnitude bound rules
-    out overflow, falling back to Python integers otherwise.
-    """
-    v = np.array(classes, dtype=object)
-    g = np.array(lat.gram, dtype=object)
-    max_c = max((max(abs(int(x)) for x in row) for row in classes), default=0)
+    """All pairwise intersection numbers, exactly: int64 when B^2 < 2^61
+    for B = max|c|^2 sum|G|, which bounds every pairing and partial sum by
+    B and the (III) discriminant n_i n_j - h_ij^2 by 2 B^2, so no
+    arithmetic on the matrix overflows; Python integers otherwise."""
+    max_c = max(abs(x) for cls in classes for x in cls)
     sum_g = sum(abs(x) for row in lat.gram for x in row)
-    bound = max_c * max_c * sum_g
-    if bound < 2**62:
-        vi = np.array(classes, dtype=np.int64)
-        gi = np.array(lat.gram, dtype=np.int64)
-        return (vi @ gi @ vi.T).astype(object)
-    return v @ g @ v.T
+    dtype = np.int64 if (max_c * max_c * sum_g) ** 2 < 2**61 else object
+    v = np.array(classes, dtype=dtype)
+    return v @ np.array(lat.gram, dtype=dtype) @ v.T
 
 
 def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
@@ -373,109 +369,95 @@ def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
     report is order-independent: permuting the family changes only record
     order, never the overall verdict.
     """
-    if isinstance(fam, CurveFamily):
-        return _validate_lattice(fam)
-    if isinstance(fam, ModelFamily):
-        return _validate_model(fam)
-    raise TypeError(f"cannot validate {type(fam).__name__}")
-
-
-def _validate_lattice(fam: CurveFamily) -> ValidationReport:
+    if not isinstance(fam, (CurveFamily, ModelFamily)):
+        raise TypeError(f"cannot validate {type(fam).__name__}")
     if len(fam) == 0:
         raise ValueError("cannot validate an empty family")
-    k = len(fam)
-    pairs = _pair_matrix(fam.lattice, fam.classes)
-    diag = np.array([pairs[i, i] for i in range(k)], dtype=pairs.dtype)
+    return _validate_lattice(fam) if isinstance(fam, CurveFamily) else _validate_model(fam)
 
+
+def _report(kind, names, elem_margin, elem_ok, margins, ok, checked) -> ValidationReport:
+    """The report from the (k,) element margins and verdicts and the
+    (pairs, 2) pair margins, verdicts and checked masks, one row per pair
+    i < j in row-major order, of the conditions ``names``; failures are
+    ordered by (indices, condition)."""
+    k = len(elem_margin)
     iu, ju = np.triu_indices(k, 1)
-    h = pairs[iu, ju]
-    n1 = diag[iu]
-    n2 = diag[ju]
-
-    # force bool dtype: the exact path may hand back object arrays, where
-    # elementwise ~ would hit Python's integer invert
-    holds_I = np.asarray(diag < 0, dtype=bool)
-    margin_I = -diag.astype(float)
-
-    holds_II = np.asarray(h >= 0, dtype=bool) if len(iu) else np.zeros(0, bool)
-    margin_II = h.astype(float)
-
-    both_neg = np.asarray(holds_I[iu] & holds_I[ju], dtype=bool)
-    nonpos_h = np.asarray(h <= 0, dtype=bool)
-    # exact Python integers: the Gram discriminant squares pair values and
-    # could overflow a fixed-width product
-    disc = n1.astype(object) * n2.astype(object) - h.astype(object) * h.astype(object)
-    disc_ok = np.asarray(disc >= 0, dtype=bool) if len(iu) else np.zeros(0, bool)
-    holds_III = both_neg & (nonpos_h | disc_ok)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        margin_III = np.where(
-            nonpos_h,
-            -np.maximum(n1, n2).astype(float),
-            disc.astype(float) / (-n1.astype(float)),
-        )
-
-    failures: list[PairVerdict] = []
-    for i in np.nonzero(~holds_I)[0]:
-        failures.append(PairVerdict((int(i),), "I", margin_I[i]))
-    for p in np.nonzero(~holds_II)[0]:
-        failures.append(PairVerdict((int(iu[p]), int(ju[p])), "II", margin_II[p]))
-    for p in np.nonzero(both_neg & ~holds_III)[0]:
-        failures.append(PairVerdict((int(iu[p]), int(ju[p])), "III", margin_III[p]))
-    failures.sort(key=lambda f: (f.indices, f.condition))
-
-    checked = {"I": k, "II": len(iu), "III": int(np.sum(both_neg))}
-    min_margins: dict[str, float] = {"I": float(np.min(margin_I))}
-    if len(iu):
-        min_margins["II"] = float(np.min(margin_II))
-    if checked["III"]:
-        min_margins["III"] = float(np.min(margin_III[both_neg]))
-
-    return ValidationReport(
-        kind="lattice",
-        size=k,
-        overall=not failures,
-        failures=failures,
-        checked=checked,
-        min_margins=min_margins,
-    )
-
-
-def _validate_model(fam: ModelFamily) -> ValidationReport:
-    if len(fam) == 0:
-        raise ValueError("cannot validate an empty family")
-    k = len(fam)
-    z, theta = cap_arrays(fam.caps)
-    if np.any(np.triu(coincident_feet(z), 1)):
-        raise _degenerate_pair_error()
-    _, m_ii, m_iii = pair_margins(z, theta)
-    iu, ju = np.triu_indices(k, 1)
-    # one row per pair in row-major order, columns (ii, iii)
-    margins = np.column_stack([m_ii[iu, ju], m_iii[iu, ju]])
-    p, c = np.divmod(np.flatnonzero(~(margins >= -TOL_BOUNDARY)), 2)
-
-    verdicts_i = [check_i(cap) for cap in fam.caps]
+    bad = np.flatnonzero(~elem_ok)
     failures = [
-        PairVerdict((i,), "i", float(v.margin))
-        for i, v in enumerate(verdicts_i) if not v.holds
+        PairVerdict((i,), names[0], m)
+        for i, m in zip(bad.tolist(), elem_margin[bad].tolist())
     ]
+    p, c = np.divmod(np.flatnonzero(checked & ~ok), 2)
     failures += [
-        PairVerdict((i, j), ("ii", "iii")[col], m)
+        PairVerdict((i, j), names[1 + col], m)
         for i, j, col, m in zip(
             iu[p].tolist(), ju[p].tolist(), c.tolist(), margins[p, c].tolist()
         )
     ]
+    if len(bad):
+        # stable: the two conditions of a pair already come in order
+        failures.sort(key=lambda f: f.indices)
 
-    min_margins = {"i": min(float(v.margin) for v in verdicts_i)}
-    if len(iu):
-        min_margins["ii"] = float(margins[:, 0].min())
-        min_margins["iii"] = float(margins[:, 1].min())
+    min_margins = {names[0]: float(elem_margin.min())}
+    for col in (0, 1):
+        if checked[:, col].any():
+            min_margins[names[1 + col]] = float(margins[checked[:, col], col].min())
     return ValidationReport(
-        kind="model",
+        kind=kind,
         size=k,
         overall=not failures,
         failures=failures,
-        checked={"i": k, "ii": len(iu), "iii": len(iu)},
+        checked=dict(zip(names, [k, *checked.sum(axis=0).tolist()])),
         min_margins=min_margins,
+    )
+
+
+def _validate_lattice(fam: CurveFamily) -> ValidationReport:
+    gram = _pair_matrix(fam.lattice, fam.classes)
+    norms = np.diagonal(gram)
+    iu, ju = np.triu_indices(len(fam), 1)
+    h, n1, n2 = gram[iu, ju], norms[iu], norms[ju]
+    # bool dtype forced: on the object arrays of Python integers, a
+    # comparison gives an object array, where ~ is the integer invert
+    holds_I = np.asarray(norms < 0, dtype=bool)
+    nonpos_h = np.asarray(h <= 0, dtype=bool)
+    disc = n1 * n2 - h * h
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = disc.astype(float) / n1.astype(float)
+    # the supremum of the norm on the positive combinations
+    sup = np.where(nonpos_h, np.maximum(n1, n2).astype(float), ratio)
+    return _report(
+        "lattice",
+        ("I", "II", "III"),
+        -norms.astype(float),
+        holds_I,
+        np.column_stack([h.astype(float), -sup]),
+        np.column_stack([
+            np.asarray(h >= 0, dtype=bool),
+            nonpos_h | np.asarray(disc >= 0, dtype=bool),
+        ]),
+        # (III) is decided only on pairs of negative classes
+        np.column_stack([np.ones(len(h), dtype=bool), holds_I[iu] & holds_I[ju]]),
+    )
+
+
+def _validate_model(fam: ModelFamily) -> ValidationReport:
+    z, theta = cap_arrays(fam.caps)
+    if np.any(np.triu(coincident_feet(z), 1)):
+        raise _degenerate_pair_error()
+    _, m_ii, m_iii = pair_margins(z, theta)
+    iu, ju = np.triu_indices(len(fam), 1)
+    margins = np.column_stack([m_ii[iu, ju], m_iii[iu, ju]])
+    return _report(
+        "model",
+        ("i", "ii", "iii"),
+        np.array([check_i(cap).margin for cap in fam.caps]),
+        # a cap lies on the cylinder, so (i) holds for every element
+        np.ones(len(fam), dtype=bool),
+        margins,
+        margins >= -TOL_BOUNDARY,
+        np.ones(margins.shape, dtype=bool),
     )
 
 

@@ -424,10 +424,17 @@ class BoundReport:
 
 
 def total_bound(n: int) -> BoundReport:
-    """Total family-size bound 2 * (near + far) with the fitted envelope."""
+    """Total family-size bound 2 * (near + far) with the fitted envelope;
+    :class:`NumericalError` when the envelope overflows a double (n >= 566)."""
+    u, v = fit_constants()
+    try:
+        envelope = u * v ** (n + 1)
+    except OverflowError:  # checked first: the far count grows with n
+        raise NumericalError(
+            f"the envelope u * v^(n+1) overflows a double at n = {n}"
+        ) from None
     nb = near_bound(n)
     fb = far_bound(n)
-    u, v = fit_constants()
     total = 2 * (nb + fb)
     return BoundReport(
         n=n,
@@ -438,7 +445,7 @@ def total_bound(n: int) -> BoundReport:
         total=total,
         u=u,
         v=v,
-        envelope=u * v ** (n + 1),
+        envelope=envelope,
         horizon=FIT_HORIZON,
         near_bound_volume=near_bound_volume(n),
     )

@@ -28,12 +28,12 @@ import numpy as np
 from .conditions import (
     TOL_BOUNDARY,
     ModelFamily,
+    PairVerdict,
     cap_arrays,
     coincident_feet,
-    pair_margin,
     pair_margins,
 )
-from .errors import DegenerateCapPairError, NumericalError
+from .errors import NumericalError
 from .klein import CapRep
 from .packing import total_bound
 
@@ -73,13 +73,6 @@ class SearchParams:
 
 
 @dataclass(frozen=True)
-class CertificateEntry:
-    indices: tuple[int, ...]
-    condition: str
-    margin: float
-
-
-@dataclass(frozen=True)
 class Certificate:
     """High-precision re-verification of a configuration.
 
@@ -92,8 +85,8 @@ class Certificate:
     valid: bool
     digits: int
     min_margin: float
-    worst: CertificateEntry | None
-    violations: tuple[CertificateEntry, ...]
+    worst: PairVerdict | None
+    violations: tuple[PairVerdict, ...]
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -139,16 +132,12 @@ def compatible(c1: CapRep, c2: CapRep) -> bool:
     reject them as degenerate, but a total relation is needed to build
     the compatibility graph).
     """
-    try:
-        m_ii, m_iii = pair_margin(c1, c2)
-    except DegenerateCapPairError:
-        return False
-    return m_ii >= -TOL_BOUNDARY and m_iii >= -TOL_BOUNDARY
+    return bool(_compatibility_matrix([c1, c2])[0, 1])
 
 
 def _compatibility_matrix(caps: list[CapRep]) -> np.ndarray:
-    """The relation :func:`compatible` over all pairs, as a symmetric (k, k)
-    boolean matrix with a false diagonal."""
+    """:func:`compatible` over all pairs, as a symmetric (k, k) boolean
+    matrix with a false diagonal."""
     z, theta = cap_arrays(caps)
     _, m_ii, m_iii = pair_margins(z, theta)
     ok = ~coincident_feet(z) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
@@ -169,7 +158,7 @@ def certify(caps: ModelFamily) -> Certificate:
             valid=True, digits=CERTIFY_DPS, min_margin=math.inf, worst=None,
             violations=(),
         )
-    entries: list[CertificateEntry] = []
+    entries: list[PairVerdict] = []
     with mpmath.workdps(CERTIFY_DPS):
         zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
         thetas = [
@@ -183,8 +172,8 @@ def certify(caps: ModelFamily) -> Certificate:
                 delta = mpmath.acos(dot)
                 m_ii = mpmath.cos(thetas[i]) * mpmath.cos(thetas[j]) - mpmath.cos(delta)
                 m_iii = thetas[i] + thetas[j] - delta
-                entries.append(CertificateEntry((i, j), "ii", float(m_ii)))
-                entries.append(CertificateEntry((i, j), "iii", float(m_iii)))
+                entries.append(PairVerdict((i, j), "ii", float(m_ii)))
+                entries.append(PairVerdict((i, j), "iii", float(m_iii)))
     violations = tuple(
         e for e in entries if e.margin < float(CERTIFY_FLOOR)
     )
@@ -323,8 +312,10 @@ def greedy_max(params: SearchParams) -> SearchResult:
     with certificate-hash tie-break).
 
     Raises :class:`NumericalError` if the result exceeds the counting
-    bound ``total_bound(n).total``, which no valid family can.
+    bound ``total_bound(n).total``, which no valid family can, and before
+    any search if ``total_bound(n)`` does.
     """
+    limit = total_bound(params.n).total
     t0 = time.perf_counter()
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
@@ -341,7 +332,6 @@ def greedy_max(params: SearchParams) -> SearchResult:
         method="greedy",
         elapsed=time.perf_counter() - t0,
     )
-    limit = total_bound(params.n).total
     if result.size > limit:
         raise NumericalError(
             f"search produced {result.size} caps, above the counting bound {limit}"

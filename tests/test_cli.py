@@ -258,8 +258,14 @@ def test_json_file_output_matches_stdout(tmp_path, capsys):
 # Documents the exit-code contract used to break on: a duplicate class
 # (valid JSON, invalid family), a Gram entry above int64 (exact checks
 # pass, the floating-point path cannot take it) and a Gram matrix of the
-# right signature whose floating-point standardization misses tolerance.
+# right signature whose floating-point standardization misses tolerance;
+# and a valid family, which breaks it only through an output path that
+# cannot be written.
 HARD_DOCS = {
+    "valid-rank-3": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[0, 1, 0], [0, 0, 1]],
+    },
     "duplicate-class": {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[0, 1, 0], [0, 1, 0]],
@@ -288,11 +294,15 @@ HARD_DOCS = {
         ("standardize-residual", "validate", 0, ""),
         ("standardize-residual", "embed", 3, "numerical failure: standardization residual"),
         ("standardize-residual", "bound --file", 3, "numerical failure: standardization residual"),
+        ("valid-rank-3", "validate", 0, ""),
+        # {tmp} is the test's directory, which holds only family.json
+        ("valid-rank-3", "validate --json {tmp}/missing/report.json", 2, "error: cannot write"),
+        ("valid-rank-3", "embed --figure-data {tmp}/family.json", 2, "error: cannot write"),
     ],
 )
 def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
     path = write_doc(tmp_path, HARD_DOCS[doc])
-    proc = run_cli([*command.split(), path])
+    proc = run_cli([*command.format(tmp=tmp_path).split(), path])
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -300,6 +310,27 @@ def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
         assert len(lines) == 1 and lines[0].startswith(stderr)
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "--n", "565"], 0),
+        # u * v^(n+1) overflows a double from here on
+        (["bound", "--n", "566"], 3),
+        (["bound", "--n", "10000000"], 3),
+        (["search", "--n", "566"], 3),
+    ],
+)
+def test_bound_envelope_overflow_is_numerical_failure(argv, code):
+    proc = run_cli(argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    else:
+        assert lines == [] and json.loads(proc.stdout)["outputs"]["bound"]["n"] == 565
 
 
 def test_probe_stdout_golden(capsys):

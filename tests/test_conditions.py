@@ -494,6 +494,96 @@ def test_validate_lattice_pair_counts():
     assert report.checked == {"I": 2, "II": 1, "III": 1}
 
 
+def lattice_oracle(lat, classes):
+    """Independent oracle for a lattice validation, from check_I/II/III:
+    the (indices, condition, margin) failures sorted by (indices,
+    condition), the checked counts and the minimum margins.  Margins come
+    from the Python-int norms and pairings, the (III) quotient taken in
+    floats as the report takes it."""
+    records = [((i,), "I", check_I(lat, c).holds, float(-lat.norm(c)))
+               for i, c in enumerate(classes)]
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            c1, c2 = classes[i], classes[j]
+            n1, n2, h = lat.norm(c1), lat.norm(c2), lat.pairing(c1, c2)
+            records.append(((i, j), "II", check_II(lat, c1, c2).holds, float(h)))
+            if n1 < 0 and n2 < 0:
+                sup = float(max(n1, n2)) if h <= 0 else float(n1 * n2 - h * h) / float(n1)
+                records.append(((i, j), "III", check_III(lat, c1, c2).holds, -sup))
+    records.sort(key=lambda r: r[:2])
+    checked = {c: sum(r[1] == c for r in records) for c in ("I", "II", "III")}
+    min_margins = {c: min(r[3] for r in records if r[1] == c) for c in checked if checked[c]}
+    return [(r[0], r[1], r[3]) for r in records if not r[2]], checked, min_margins
+
+
+def assert_lattice_report_matches_oracle(lat, classes):
+    report = validate_family(CurveFamily(lat, classes))
+    failures, checked, min_margins = lattice_oracle(lat, classes)
+    assert [(f.indices, f.condition, f.margin) for f in report.failures] == failures
+    assert report.checked == checked
+    assert report.min_margins == min_margins
+    assert report.overall == (not failures)
+    return report
+
+
+def test_validate_lattice_record_order_matches_oracle():
+    rng = np.random.default_rng(81)
+    interleaved = 0
+    for _ in range(150):
+        rank = int(rng.integers(2, 6))
+        # a unimodular change of basis of diag(1, -1, ..., -1)
+        u = np.eye(rank, dtype=np.int64) + np.triu(rng.integers(-2, 3, (rank, rank)), 1)
+        lat = QuadraticLattice((u.T @ np.diag([1] + [-1] * (rank - 1)) @ u).tolist())
+        classes = [c for c in rng.integers(-3, 4, (int(rng.integers(1, 9)), rank)).tolist()
+                   if any(c)] or [[1] * rank]
+        report = assert_lattice_report_matches_oracle(lat, classes)
+        # an (I) record right after a pair record
+        interleaved += any(
+            len(a.indices) == 2 and b.condition == "I"
+            for a, b in zip(report.failures, report.failures[1:])
+        )
+    assert interleaved > 10
+
+
+def _switch_family(m):
+    """Classes with entries up to m on DIAG3, where B = 3 m^2: (m, 0, 0)
+    fails (I), pairs with opposite spatial signs fail (II), and pairs with
+    a large positive pairing, such as the two with first entry m - 1,
+    fail (III)."""
+    return [(m, 0, 0), (0, m, m), (0, m, 1 - m), (1, m, m - 1),
+            (m - 1, m, 1), (m - 1, 1, m), (3, m, m)]
+
+
+@pytest.mark.parametrize(
+    "classes, dtype, disc_low, disc_high",
+    [
+        # B^2 just below 2^61: the last families on the int64 side
+        (_switch_family(22498), np.int64, -(2**58), 2**59),
+        # B^2 just above 2^61
+        (_switch_family(22499), object, -(2**58), 2**59),
+        # discriminants n_i n_j - h_ij^2 within 0.01% of -2^62 and 2^62
+        ([(46341, 0, 0), (0, 32768, 32768), (0, 32768, -32767), (2, 32768, 32767),
+          (46340, 32768, 1), (32767, 32768, 1), (32767, 1, 32768), (0, 32767, -32768)],
+         object, -0.9999 * 2**62, 0.9999 * 2**62),
+        # a true (III) pair, (0, m, m) and (0, m, -m - 1), whose
+        # discriminant lies in (2^63, 2^64), where int64 arithmetic wraps
+        # it to a negative number
+        ([(40000, 0, 0), (0, 40000, 40000), (0, 40000, -40001), (39999, 40000, 1),
+          (39999, 1, 40000)], object, -(2**62), 2**63),
+    ],
+    ids=["int64-edge", "object-edge", "disc-2^62", "disc-past-int64"],
+)
+def test_validate_lattice_exact_at_the_int64_switch(classes, dtype, disc_low, disc_high):
+    assert conditions._pair_matrix(DIAG3, classes).dtype == dtype
+    discs = [
+        DIAG3.norm(a) * DIAG3.norm(b) - DIAG3.pairing(a, b) ** 2
+        for i, a in enumerate(classes) for b in classes[i + 1:]
+    ]
+    assert min(discs) < disc_low and max(discs) > disc_high
+    report = assert_lattice_report_matches_oracle(DIAG3, classes)
+    assert {f.condition for f in report.failures} == {"I", "II", "III"}
+
+
 def test_verdicts_invariant_under_scaling_and_isometry():
     # scaling classes by positive integers and pushing through a random
     # standardization must not change any verdict
