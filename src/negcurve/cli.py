@@ -259,12 +259,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_search(args) -> int:
-    params = SearchParams(
-        n=args.n,
-        seed=args.seed,
-        restarts=args.restarts,
-        candidate_grid=args.grid,
-    )
+    try:
+        params = SearchParams(
+            n=args.n,
+            seed=args.seed,
+            restarts=args.restarts,
+            candidate_grid=args.grid,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     result = greedy_max(params)
     outputs = result.to_json_dict()
     outputs["params"] = {

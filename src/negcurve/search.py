@@ -52,6 +52,10 @@ RIGHT_ANGLE = math.pi / 2
 #: largest candidate set :func:`exact_max` accepts
 MAX_CLIQUE_CUTOFF = 256
 
+#: most grid directions a :class:`SearchParams` may ask for; each restart
+#: builds the compatibility matrix over all of them
+MAX_GRID_DIRECTIONS = 4096
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -70,6 +74,12 @@ class SearchParams:
             raise ValueError("restarts must be >= 1")
         if not self.candidate_grid > 0:
             raise ValueError("candidate_grid must be positive")
+        if _grid_size(self.n, self.candidate_grid) > MAX_GRID_DIRECTIONS:
+            raise ValueError(
+                f"candidate_grid {self.candidate_grid!r} is too fine at "
+                f"n={self.n}: it asks for more than {MAX_GRID_DIRECTIONS} "
+                "grid directions"
+            )
 
 
 @dataclass(frozen=True)
@@ -165,12 +175,13 @@ def certify(caps: ModelFamily) -> Certificate:
             mpmath.pi / 2 if cap.theta == RIGHT_ANGLE else mpmath.mpf(cap.theta)
             for cap in caps.caps
         ]
+        cos_t = [mpmath.cos(t) for t in thetas]
         for i in range(k):
             for j in range(i + 1, k):
                 dot = mpmath.fsum(a * b for a, b in zip(zs[i], zs[j]))
                 dot = max(mpmath.mpf(-1), min(mpmath.mpf(1), dot))
                 delta = mpmath.acos(dot)
-                m_ii = mpmath.cos(thetas[i]) * mpmath.cos(thetas[j]) - mpmath.cos(delta)
+                m_ii = cos_t[i] * cos_t[j] - mpmath.cos(delta)
                 m_iii = thetas[i] + thetas[j] - delta
                 entries.append(PairVerdict((i, j), "ii", float(m_ii)))
                 entries.append(PairVerdict((i, j), "iii", float(m_iii)))
@@ -215,9 +226,25 @@ def _cross_polytope(n: int) -> list[tuple[float, ...]]:
     return dirs
 
 
+def _grid_steps(grid: float) -> tuple[int, int]:
+    """Polar and azimuthal step counts of the grid at spacing ``grid``."""
+    return max(2, int(round(math.pi / grid))), max(4, int(round(2.0 * math.pi / grid)))
+
+
+def _grid_size(n: int, grid: float) -> float:
+    """How many directions ``_grid_directions(n, grid)`` returns, counted
+    without building them; inf when 2*pi/grid overflows a double."""
+    if n > 3:
+        return 0
+    if math.isinf(2.0 * math.pi / grid):
+        return math.inf
+    n_polar, n_azim = _grid_steps(grid)
+    return n_azim if n == 2 else 2 + (n_polar - 1) * n_azim
+
+
 def _grid_directions(n: int, grid: float) -> list[tuple[float, ...]]:
     if n == 2:
-        count = max(4, int(round(2.0 * math.pi / grid)))
+        _, count = _grid_steps(grid)
         return [
             _snap_direction(
                 (math.cos(2.0 * math.pi * k / count),
@@ -227,8 +254,7 @@ def _grid_directions(n: int, grid: float) -> list[tuple[float, ...]]:
         ]
     if n == 3:
         out = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
-        n_polar = max(2, int(round(math.pi / grid)))
-        n_azim = max(4, int(round(2.0 * math.pi / grid)))
+        n_polar, n_azim = _grid_steps(grid)
         for a in range(1, n_polar):
             phi = math.pi * a / n_polar
             for b in range(n_azim):
@@ -352,39 +378,68 @@ def _adjacency_masks(caps: list[CapRep]) -> list[int]:
 
 
 def _max_clique_bitset(masks: list[int]) -> list[int]:
-    """Branch and bound with greedy-coloring bounds on bitset adjacency."""
-    k = len(masks)
-    best: list[int] = []
+    """A maximum clique of the graph whose row i is the bitset ``masks[i]``
+    (false diagonal), as a list of vertex indices.
 
-    def color_order(p: int) -> list[tuple[int, int]]:
-        order = []
-        color = 0
-        while p:
-            color += 1
-            avail = p
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail & ~masks[v] & ~(1 << v)
-                p &= ~(1 << v)
-                order.append((v, color))
-        return order
+    BBMC (San Segundo et al. 2011, after MCS, Tomita et al. 2010): the
+    vertices are renumbered by non-increasing degree, the incumbent starts
+    as the greedy clique in that order, and each node colors its candidates
+    greedily and branches, highest color first, only on those whose color
+    can still beat the incumbent.
+    """
+    k = len(masks)
+    # renumber by non-increasing degree, ties by index: position i of the
+    # rebuilt rows holds vertex order[i]
+    order = sorted(range(k), key=lambda v: (-masks[v].bit_count(), v))
+    nbytes = (k + 7) // 8
+    rows = np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+    ).reshape(k, nbytes)
+    adj = np.unpackbits(rows, axis=1, count=k, bitorder="little")[np.ix_(order, order)]
+    adj = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(adj, axis=1, bitorder="little")
+    ]
+
+    best: list[int] = []
+    p = (1 << k) - 1
+    while p:
+        v = (p & -p).bit_length() - 1
+        best.append(v)
+        p &= adj[v]
 
     def expand(r: list[int], p: int):
         nonlocal best
-        for v, bound in reversed(color_order(p)):
+        # a vertex of color <= floor cannot lift r past the incumbent: it
+        # is colored, stays in p for the subtrees, but is never branched on
+        floor = len(best) - len(r)
+        branch = []
+        color = 0
+        uncolored = p
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~adj[v] ^ low
+                uncolored ^= low
+                if color > floor:
+                    branch.append((low, v, color))
+        for low, v, bound in reversed(branch):
             if len(r) + bound <= len(best):
                 return
             r.append(v)
-            np_ = p & masks[v]
-            if np_:
-                expand(r, np_)
+            sub = p & adj[v]
+            if sub:
+                expand(r, sub)
             elif len(r) > len(best):
                 best = list(r)
             r.pop()
-            p &= ~(1 << v)
+            p ^= low
 
     expand([], (1 << k) - 1)
-    return best
+    return [order[v] for v in best]
 
 
 def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:

@@ -189,10 +189,15 @@ def test_probe_small(capsys):
         ["search", "--n", "1"],
         ["search", "--n", "3", "--restarts", "0"],
         ["search", "--n", "3", "--grid", "0"],
+        # 2*pi/grid overflows a double
+        ["search", "--n", "2", "--grid", "1e-320"],
+        # 196,566 grid directions, above MAX_GRID_DIRECTIONS
+        ["search", "--n", "3", "--grid", "0.01"],
         ["probe", "--n", "1"],
         ["probe", "--samples", "0"],
     ],
-    ids=["search-n", "search-restarts", "search-grid", "probe-n", "probe-samples"],
+    ids=["search-n", "search-restarts", "search-grid", "search-grid-overflow",
+         "search-grid-too-fine", "probe-n", "probe-samples"],
 )
 def test_out_of_range_arguments_are_malformed_input(argv):
     proc = run_cli(argv)

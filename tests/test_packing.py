@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import subprocess
@@ -10,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import del_pezzo_lines
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, check_ii, pair_margins
 from negcurve.errors import InvalidFamilyError
@@ -582,17 +582,6 @@ def random_valid_family(rng, n, pool=24):
         ):
             caps.append(cand)
     return ModelFamily(caps)
-
-
-def del_pezzo_lines(r):
-    """The (-1)-curves d*H - sum m_i E_i of P^2 blown up in r <= 7 points,
-    c^2 = K.c = -1, as classes of I_{1,r} in the basis (H, E_1, ..., E_r)."""
-    lines = []
-    for d in range(4):
-        for m in itertools.product(range(-1, d + 1), repeat=r):
-            if d * d - sum(x * x for x in m) == -1 and 3 * d - sum(m) == 1:
-                lines.append([d, *(-x for x in m)])
-    return lines
 
 
 def test_del_pezzo_line_counts():

@@ -1,20 +1,26 @@
+import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import del_pezzo_lines
 from negcurve import search
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily
 from negcurve.errors import NumericalError
-from negcurve.klein import CapRep
+from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import total_bound
 from negcurve.search import (
+    MAX_GRID_DIRECTIONS,
     SearchParams,
     _adjacency_masks,
+    _grid_directions,
+    _grid_size,
     _greedy_clique,
     _greedy_order,
+    _max_clique_bitset,
     candidate_caps,
     certify,
     compatible,
@@ -267,3 +273,174 @@ def test_compatibility_excludes_coincident_feet():
     masks = _adjacency_masks(caps)
     assert masks[0] >> 2 & 1 == 0 and masks[2] & 1 == 0
     assert masks[0] >> 1 & 1 == 1
+
+
+# ---------------------------------------------------------------------------
+# the grid limit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, 0.3, 0.05, 2.0, math.inf])
+def test_grid_size_counts_grid_directions(n, grid):
+    assert _grid_size(n, grid) == len(_grid_directions(n, grid))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, 0.3])
+def test_default_and_bench_grids_are_accepted(n, grid):
+    assert SearchParams(n=n, candidate_grid=grid).candidate_grid == grid
+
+
+def test_grid_limit_rejects_oversized_grids_without_building_them():
+    # 2*pi/grid rounds to the limit and one past it at n = 2
+    assert SearchParams(n=2, candidate_grid=2 * math.pi / MAX_GRID_DIRECTIONS)
+    for n, grid in [(2, 2 * math.pi / (MAX_GRID_DIRECTIONS + 1)), (2, 1e-320),
+                    (3, 0.01), (3, 1e-320), (3, 1e-300)]:
+        with pytest.raises(ValueError, match=f"too fine at n={n}: .* {MAX_GRID_DIRECTIONS}"):
+            SearchParams(n=n, candidate_grid=grid)
+    # n >= 4 draws no grid
+    assert _grid_size(4, 1e-320) == 0
+    assert SearchParams(n=4, candidate_grid=1e-320)
+
+
+# ---------------------------------------------------------------------------
+# the clique engine
+# ---------------------------------------------------------------------------
+
+def random_graph(rng, k, density):
+    masks = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < density:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def is_clique(masks, vertices):
+    return all(masks[a] >> b & 1 for a, b in itertools.combinations(vertices, 2))
+
+
+def brute_force_clique_size(masks):
+    """Independent oracle: every vertex in or out, keeping only common
+    neighbours as candidates."""
+    best = 0
+
+    def extend(size, cands):
+        nonlocal best
+        if size + cands.bit_count() <= best:
+            return
+        if not cands:
+            best = size
+            return
+        low = cands & -cands
+        v = low.bit_length() - 1
+        extend(size + 1, cands & masks[v])
+        extend(size, cands ^ low)
+
+    extend(0, (1 << len(masks)) - 1)
+    return best
+
+
+def color_order_max_clique(masks):
+    """Size oracle: the index-order greedy-coloring branch and bound the
+    exact search used before its degree-ordered rewrite."""
+    k = len(masks)
+    best: list[int] = []
+
+    def color_order(p):
+        order = []
+        color = 0
+        while p:
+            color += 1
+            avail = p
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= avail & ~masks[v] & ~(1 << v)
+                p &= ~(1 << v)
+                order.append((v, color))
+        return order
+
+    def expand(r, p):
+        nonlocal best
+        for v, bound in reversed(color_order(p)):
+            if len(r) + bound <= len(best):
+                return
+            r.append(v)
+            np_ = p & masks[v]
+            if np_:
+                expand(r, np_)
+            elif len(r) > len(best):
+                best = list(r)
+            r.pop()
+            p &= ~(1 << v)
+
+    expand([], (1 << k) - 1)
+    return best
+
+
+def test_max_clique_bitset_matches_brute_force_on_random_graphs():
+    rng = np.random.default_rng(4242)
+    for k in range(19):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+            masks = random_graph(rng, k, density)
+            clique = _max_clique_bitset(masks)
+            assert len(set(clique)) == len(clique) and is_clique(masks, clique)
+            assert all(0 <= v < k for v in clique)
+            assert len(clique) == brute_force_clique_size(masks), (k, density)
+
+
+def test_max_clique_bitset_maps_back_from_degree_order():
+    # K_{8,8} on 0..15 (degree 8, cliques of 2), a hub 20 joined to all of
+    # them (degree 16, cliques of 3) and the only 4-clique on 16..19, whose
+    # vertices have the lowest degree, 3
+    masks = [0] * 21
+    for a, b in itertools.chain(
+        ((a, b) for a in range(0, 16, 2) for b in range(1, 16, 2)),
+        ((20, b) for b in range(16)),
+        itertools.combinations(range(16, 20), 2),
+    ):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    assert sorted(_max_clique_bitset(masks)) == [16, 17, 18, 19]
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        perm = rng.permutation(21)
+        relabeled = [0] * 21
+        for v, row in enumerate(masks):
+            relabeled[perm[v]] = sum(1 << int(perm[u]) for u in range(21) if row >> u & 1)
+        assert sorted(_max_clique_bitset(relabeled)) == sorted(int(perm[v]) for v in range(16, 20))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_clique_bitset_matches_color_order_oracle_on_candidate_sets(seed):
+    rng = np.random.default_rng(seed)
+    cand3 = candidate_caps(
+        SearchParams(n=3, candidate_grid=0.3, random_candidates=64), rng
+    )[:256]
+    cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
+    for caps in (cand3, cand8):
+        assert len(caps) == 256
+        masks = _adjacency_masks(caps)
+        clique = _max_clique_bitset(masks)
+        assert is_clique(masks, clique)
+        assert len(clique) == len(color_order_max_clique(masks))
+
+
+# ---------------------------------------------------------------------------
+# del Pezzo (-1)-curves
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, size", [(4, 10), (5, 16), (6, 27)])
+def test_exact_max_takes_every_del_pezzo_line(n, size):
+    caps = [cap_of(project(c)) for c in del_pezzo_lines(n)]
+    result = exact_max(SearchParams(n=n), caps)
+    assert result.size == len(caps) == size
+    assert result.best.certificate.valid
+
+
+def test_exact_max_on_the_56_del_pezzo_lines_at_n7():
+    # the 28 pairs of lines meeting twice are incompatible; which 28 lines
+    # come back depends on the engine
+    caps = [cap_of(project(c)) for c in del_pezzo_lines(7)]
+    assert exact_max(SearchParams(n=7), caps).size == 28
