@@ -233,8 +233,12 @@ def cmd_bound(args) -> int:
         inputs["n"] = args.n
     if args.file is not None:
         family = load_document(args.file)
-        inputs.update(_document_inputs(family))
         n = family.lattice.rank - 1
+        if args.n is not None and args.n != n:
+            raise InputError(
+                f"--n {args.n} disagrees with the document, whose rank gives n = {n}"
+            )
+        inputs.update(_document_inputs(family))
         outputs.setdefault("bound", total_bound(n).to_json_dict())
         _, caps = _embed_records(family)
         if len(caps) != len(family):
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="certified configuration search")
     p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument("--seed", type=int, default=20240601)
+    p.add_argument("--seed", type=_int_at_least(0), default=20240601)
     p.add_argument("--restarts", type=_int_at_least(1), default=8)
     p.add_argument("--grid", type=_positive_float, default=math.pi / 12,
                    help="angular grid resolution in radians")
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="condition-system agreement probe")
     p.add_argument("--n", type=_int_at_least(2), default=3)
     p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_probe)
 

@@ -39,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateCapPairError
+from .errors import DegenerateCapPairError, NumericalError
 from .klein import CapRep, KleinPoint, Region
 from .lorentz import QuadraticLattice
 
@@ -423,16 +423,21 @@ def _validate_lattice(fam: CurveFamily) -> ValidationReport:
     holds_I = np.asarray(norms < 0, dtype=bool)
     nonpos_h = np.asarray(h <= 0, dtype=bool)
     disc = n1 * n2 - h * h
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = disc.astype(float) / n1.astype(float)
-    # the supremum of the norm on the positive combinations
-    sup = np.where(nonpos_h, np.maximum(n1, n2).astype(float), ratio)
+    # the verdicts are exact; only the reported margins are doubles
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = disc.astype(float) / n1.astype(float)
+        # the supremum of the norm on the positive combinations
+        sup = np.where(nonpos_h, np.maximum(n1, n2).astype(float), ratio)
+        margin_I, margin_II = -norms.astype(float), h.astype(float)
+    except OverflowError as exc:
+        raise NumericalError("class pairings exceed the double range of the margins") from exc
     return _report(
         "lattice",
         ("I", "II", "III"),
-        -norms.astype(float),
+        margin_I,
         holds_I,
-        np.column_stack([h.astype(float), -sup]),
+        np.column_stack([margin_II, -sup]),
         np.column_stack([
             np.asarray(h >= 0, dtype=bool),
             nonpos_h | np.asarray(disc >= 0, dtype=bool),
@@ -620,6 +625,8 @@ def equivalence_probe(
         raise ValueError("the probe needs n >= 2")
     if max_examples < 0:
         raise ValueError("max_examples must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     v1, q1 = _sample_spacelike(rng, samples, n)
     v2, q2 = _sample_spacelike(rng, samples, n)

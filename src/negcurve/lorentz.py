@@ -253,4 +253,10 @@ def embed_class(lat: QuadraticLattice, coeffs: Sequence[int]) -> np.ndarray:
         raise ValueError("class length must equal the lattice rank")
     if not np.any(c):
         raise ValueError("cannot embed the zero class")
+    try:
+        c = c.astype(float)
+    except OverflowError as exc:
+        raise NumericalError(
+            "class entries exceed the double range of the floating-point path"
+        ) from exc
     return standardize(lat).to_standard(c)

@@ -70,8 +70,12 @@ class SearchParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("search requires n >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.random_candidates < 0:
+            raise ValueError("random_candidates must be >= 0")
         if not self.candidate_grid > 0:
             raise ValueError("candidate_grid must be positive")
         if _grid_size(self.n, self.candidate_grid) > MAX_GRID_DIRECTIONS:
@@ -273,38 +277,34 @@ def _grid_directions(n: int, grid: float) -> list[tuple[float, ...]]:
     return []
 
 
+def _stratum(params: SearchParams) -> list[CapRep]:
+    """The fixed candidates: cross-polytope axes and the snapped grid, at
+    theta = pi/2.  The grid holds some axes exactly, so exact comparison
+    dedupes them."""
+    n = params.n
+    feet = dict.fromkeys(_cross_polytope(n) + _grid_directions(n, params.candidate_grid))
+    return [CapRep(z=z, theta=math.pi / 2) for z in feet]
+
+
+def _random_caps(params: SearchParams, rng: np.random.Generator) -> list[CapRep]:
+    """Uniform random feet, half with theta = pi/2 and half with a uniform
+    radius in (0, pi/2].  Not deduped: coincident feet are never
+    compatible, so a repeated foot cannot enter a clique twice."""
+    count, n = params.random_candidates, params.n
+    pts = rng.normal(size=(count, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    half = count // 2
+    thetas = np.concatenate(
+        [np.full(half, math.pi / 2), rng.uniform(0.0, math.pi / 2, size=count - half)]
+    )
+    thetas = np.clip(thetas, 1e-6, math.pi / 2)
+    return [CapRep(z=tuple(z), theta=t) for z, t in zip(pts.tolist(), thetas.tolist())]
+
+
 def candidate_caps(params: SearchParams, rng: np.random.Generator) -> list[CapRep]:
     """Cross-polytope axes and a uniform grid at theta = pi/2, plus random
     directions paired with random radii in (0, pi/2]."""
-    n = params.n
-    seen: set[tuple] = set()
-    caps: list[CapRep] = []
-
-    def push(z, theta):
-        key = tuple(round(x, 9) for x in z) + (round(theta, 9),)
-        if key in seen:
-            return
-        seen.add(key)
-        caps.append(CapRep(z=tuple(float(x) for x in z), theta=float(theta)))
-
-    for z in _cross_polytope(n):
-        push(z, math.pi / 2)
-    for z in _grid_directions(n, params.candidate_grid):
-        push(z, math.pi / 2)
-    if params.random_candidates:
-        pts = rng.normal(size=(params.random_candidates, n))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        half = params.random_candidates // 2
-        thetas = np.concatenate(
-            [
-                np.full(half, math.pi / 2),
-                rng.uniform(0.0, math.pi / 2, size=params.random_candidates - half),
-            ]
-        )
-        thetas = np.clip(thetas, 1e-6, math.pi / 2)
-        for z, theta in zip(pts, thetas):
-            push(z, float(theta))
-    return caps
+    return _stratum(params) + _random_caps(params, rng)
 
 
 def _greedy_order(caps: list[CapRep]) -> list[int]:
@@ -312,12 +312,13 @@ def _greedy_order(caps: list[CapRep]) -> list[int]:
     return sorted(range(len(caps)), key=lambda i: (-caps[i].theta, caps[i].z))
 
 
-def _greedy_clique(caps: list[CapRep]) -> list[int]:
-    adj = _compatibility_matrix(caps)
-    # candidates compatible with every cap chosen so far
-    open_ = np.ones(len(caps), dtype=bool)
+def _greedy_clique(adj: np.ndarray, order) -> list[int]:
+    """The clique that takes each vertex of ``order`` adjacent, in the
+    boolean matrix ``adj``, to every vertex taken before it."""
+    # vertices adjacent to every vertex chosen so far
+    open_ = np.ones(len(adj), dtype=bool)
     chosen: list[int] = []
-    for idx in _greedy_order(caps):
+    for idx in order:
         if open_[idx]:
             chosen.append(idx)
             open_ &= adj[idx]
@@ -343,10 +344,12 @@ def greedy_max(params: SearchParams) -> SearchResult:
     """
     limit = total_bound(params.n).total
     t0 = time.perf_counter()
+    stratum = _stratum(params)
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
-        caps = candidate_caps(params, np.random.default_rng(seq))
-        picked = [caps[i] for i in _greedy_clique(caps)]
+        caps = stratum + _random_caps(params, np.random.default_rng(seq))
+        adj = _compatibility_matrix(caps)
+        picked = [caps[i] for i in _greedy_clique(adj, _greedy_order(caps))]
         outcomes.append((len(picked), _config_key(picked), picked))
     size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
 
@@ -369,44 +372,27 @@ def greedy_max(params: SearchParams) -> SearchResult:
 # exact maximum clique
 # ---------------------------------------------------------------------------
 
-def _adjacency_masks(caps: list[CapRep]) -> list[int]:
-    """Row i of the compatibility matrix as a Python-int bitset (bit j set
-    when caps i and j are compatible); Python ints, since numpy shifts
-    overflow past bit 63."""
-    rows = np.packbits(_compatibility_matrix(caps), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
-def _max_clique_bitset(masks: list[int]) -> list[int]:
-    """A maximum clique of the graph whose row i is the bitset ``masks[i]``
-    (false diagonal), as a list of vertex indices.
+def _max_clique_bitset(adj: np.ndarray) -> list[int]:
+    """A maximum clique of the graph with the symmetric boolean adjacency
+    matrix ``adj`` (false diagonal), as a list of vertex indices.
 
     BBMC (San Segundo et al. 2011, after MCS, Tomita et al. 2010): the
     vertices are renumbered by non-increasing degree, the incumbent starts
     as the greedy clique in that order, and each node colors its candidates
     greedily and branches, highest color first, only on those whose color
-    can still beat the incumbent.
+    can still beat the incumbent.  Rows are Python-int bitsets, since numpy
+    shifts overflow past bit 63.
     """
-    k = len(masks)
-    # renumber by non-increasing degree, ties by index: position i of the
-    # rebuilt rows holds vertex order[i]
-    order = sorted(range(k), key=lambda v: (-masks[v].bit_count(), v))
-    nbytes = (k + 7) // 8
-    rows = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
-    ).reshape(k, nbytes)
-    adj = np.unpackbits(rows, axis=1, count=k, bitorder="little")[np.ix_(order, order)]
+    k = len(adj)
+    # renumber by non-increasing degree, ties by index: vertex i of the
+    # renumbered graph is vertex order[i]
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    adj = adj[np.ix_(order, order)]
+    best = _greedy_clique(adj, range(k))
     adj = [
         int.from_bytes(row.tobytes(), "little")
         for row in np.packbits(adj, axis=1, bitorder="little")
     ]
-
-    best: list[int] = []
-    p = (1 << k) - 1
-    while p:
-        v = (p & -p).bit_length() - 1
-        best.append(v)
-        p &= adj[v]
 
     def expand(r: list[int], p: int):
         nonlocal best
@@ -439,7 +425,7 @@ def _max_clique_bitset(masks: list[int]) -> list[int]:
             p ^= low
 
     expand([], (1 << k) - 1)
-    return [order[v] for v in best]
+    return [int(order[v]) for v in best]
 
 
 def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
@@ -455,8 +441,7 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
             f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
         )
     t0 = time.perf_counter()
-    masks = _adjacency_masks(candidates)
-    chosen = sorted(_max_clique_bitset(masks))
+    chosen = sorted(_max_clique_bitset(_compatibility_matrix(candidates)))
     family = ModelFamily([candidates[i] for i in chosen])
     cert = certify(family)
     return SearchResult(

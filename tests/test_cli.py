@@ -193,11 +193,14 @@ def test_probe_small(capsys):
         ["search", "--n", "2", "--grid", "1e-320"],
         # 196,566 grid directions, above MAX_GRID_DIRECTIONS
         ["search", "--n", "3", "--grid", "0.01"],
+        ["search", "--n", "2", "--seed", "-1"],
         ["probe", "--n", "1"],
         ["probe", "--samples", "0"],
+        ["probe", "--samples", "10", "--seed", "-1"],
     ],
     ids=["search-n", "search-restarts", "search-grid", "search-grid-overflow",
-         "search-grid-too-fine", "probe-n", "probe-samples"],
+         "search-grid-too-fine", "search-seed", "probe-n", "probe-samples",
+         "probe-seed"],
 )
 def test_out_of_range_arguments_are_malformed_input(argv):
     proc = run_cli(argv)
@@ -283,6 +286,10 @@ HARD_DOCS = {
         "gram": [[10**8, 10**8 + 1], [10**8 + 1, 10**8]],
         "curves": [[1, -1]],
     },
+    "class-beyond-double": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[0, 1, 0], [0, 0, 10**400]],
+    },
 }
 
 
@@ -299,7 +306,13 @@ HARD_DOCS = {
         ("standardize-residual", "validate", 0, ""),
         ("standardize-residual", "embed", 3, "numerical failure: standardization residual"),
         ("standardize-residual", "bound --file", 3, "numerical failure: standardization residual"),
+        ("class-beyond-double", "validate", 3, "numerical failure: class pairings exceed"),
+        ("class-beyond-double", "embed", 3, "numerical failure: class pairings exceed"),
+        ("class-beyond-double", "bound --file", 3, "numerical failure: class entries exceed"),
         ("valid-rank-3", "validate", 0, ""),
+        # --n must agree with the document's rank - 1
+        ("valid-rank-3", "bound --n 2 --file", 0, ""),
+        ("valid-rank-3", "bound --n 5 --file", 2, "error: --n 5 disagrees with the document"),
         # {tmp} is the test's directory, which holds only family.json
         ("valid-rank-3", "validate --json {tmp}/missing/report.json", 2, "error: cannot write"),
         ("valid-rank-3", "embed --figure-data {tmp}/family.json", 2, "error: cannot write"),

@@ -699,6 +699,11 @@ def test_probe_rejects_negative_max_examples():
         equivalence_probe(2, 2000, seed=1, max_examples=-1)
 
 
+def test_probe_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        equivalence_probe(2, 10, seed=-1)
+
+
 def probe_digest(report) -> str:
     blob = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ from negcurve.packing import total_bound
 from negcurve.search import (
     MAX_GRID_DIRECTIONS,
     SearchParams,
-    _adjacency_masks,
+    _compatibility_matrix,
     _grid_directions,
     _grid_size,
     _greedy_clique,
@@ -244,35 +246,43 @@ def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
     params = SearchParams(n=n, candidate_grid=grid)
     caps = candidate_caps(params, np.random.default_rng(17))
     compat = scalar_graph(caps)
-    masks = _adjacency_masks(caps)
-    k = len(caps)
-    for i in range(k):
-        assert masks[i] == sum(1 << j for j in range(k) if compat[i][j])
+    adj = _compatibility_matrix(caps)
+    assert adj.dtype == bool and adj.tolist() == compat
 
     chosen = []
     for idx in _greedy_order(caps):
         if all(compat[idx][j] for j in chosen):
             chosen.append(idx)
-    assert _greedy_clique(caps) == chosen
+    assert _greedy_clique(adj, _greedy_order(caps)) == chosen
 
 
-def test_adjacency_masks_past_bit_63():
-    # the first cap faces feet 64..69 across the circle, so its row needs
-    # bits past 63 (foot 35 coincides with it)
+def test_max_clique_bitset_past_bit_63():
+    # the first cap faces feet 64..69 across the circle, so its row reaches
+    # past column 63 (foot 35 coincides with it)
     caps = [circle_cap(math.pi)] + [circle_cap(2 * math.pi * t / 70) for t in range(1, 70)]
-    masks = _adjacency_masks(caps)
+    adj = _compatibility_matrix(caps)
     compat = scalar_graph(caps)
     assert all(compat[0][j] for j in range(64, 70)) and not compat[0][35]
-    for i in range(70):
-        assert masks[i] == sum(1 << j for j in range(70) if compat[i][j])
-        assert masks[i] < 1 << 70
+    assert adj.tolist() == compat
+
+    # K_{32,32} on 0..63 (cliques of 2) and the only maximum clique, a K_6
+    # on 64..69, whose vertices also come last in degree order, so both its
+    # bitset rows and its renumbered bits lie past bit 63
+    masks = [0] * 70
+    for a, b in itertools.chain(
+        ((a, b) for a in range(0, 64, 2) for b in range(1, 64, 2)),
+        itertools.combinations(range(64, 70), 2),
+    ):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    assert sorted(_max_clique_bitset(as_matrix(masks))) == list(range(64, 70))
 
 
 def test_compatibility_excludes_coincident_feet():
     caps = [circle_cap(0.0), circle_cap(HALF), CapRep(z=(1.0, 0.0), theta=0.3)]
-    masks = _adjacency_masks(caps)
-    assert masks[0] >> 2 & 1 == 0 and masks[2] & 1 == 0
-    assert masks[0] >> 1 & 1 == 1
+    adj = _compatibility_matrix(caps)
+    assert not adj[0, 2] and not adj[2, 0]
+    assert adj[0, 1] and adj[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +299,13 @@ def test_grid_size_counts_grid_directions(n, grid):
 @pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, 0.3])
 def test_default_and_bench_grids_are_accepted(n, grid):
     assert SearchParams(n=n, candidate_grid=grid).candidate_grid == grid
+
+
+@pytest.mark.parametrize("field", ["seed", "random_candidates"])
+def test_search_params_reject_negative_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        SearchParams(n=3, **{field: -1})
+    assert getattr(SearchParams(n=3, **{field: 0}), field) == 0
 
 
 def test_grid_limit_rejects_oversized_grids_without_building_them():
@@ -315,6 +332,12 @@ def random_graph(rng, k, density):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def as_matrix(masks):
+    """The boolean adjacency matrix whose row i has the bits of masks[i]."""
+    k = len(masks)
+    return np.array([[m >> j & 1 for j in range(k)] for m in masks], dtype=bool).reshape(k, k)
 
 
 def is_clique(masks, vertices):
@@ -384,7 +407,7 @@ def test_max_clique_bitset_matches_brute_force_on_random_graphs():
     for k in range(19):
         for density in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
             masks = random_graph(rng, k, density)
-            clique = _max_clique_bitset(masks)
+            clique = _max_clique_bitset(as_matrix(masks))
             assert len(set(clique)) == len(clique) and is_clique(masks, clique)
             assert all(0 <= v < k for v in clique)
             assert len(clique) == brute_force_clique_size(masks), (k, density)
@@ -402,14 +425,14 @@ def test_max_clique_bitset_maps_back_from_degree_order():
     ):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    assert sorted(_max_clique_bitset(masks)) == [16, 17, 18, 19]
+    assert sorted(_max_clique_bitset(as_matrix(masks))) == [16, 17, 18, 19]
     rng = np.random.default_rng(9)
     for _ in range(20):
         perm = rng.permutation(21)
         relabeled = [0] * 21
         for v, row in enumerate(masks):
             relabeled[perm[v]] = sum(1 << int(perm[u]) for u in range(21) if row >> u & 1)
-        assert sorted(_max_clique_bitset(relabeled)) == sorted(int(perm[v]) for v in range(16, 20))
+        assert sorted(_max_clique_bitset(as_matrix(relabeled))) == sorted(int(perm[v]) for v in range(16, 20))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -421,8 +444,9 @@ def test_max_clique_bitset_matches_color_order_oracle_on_candidate_sets(seed):
     cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
     for caps in (cand3, cand8):
         assert len(caps) == 256
-        masks = _adjacency_masks(caps)
-        clique = _max_clique_bitset(masks)
+        adj = _compatibility_matrix(caps)
+        masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
+        clique = _max_clique_bitset(adj)
         assert is_clique(masks, clique)
         assert len(clique) == len(color_order_max_clique(masks))
 
@@ -444,3 +468,104 @@ def test_exact_max_on_the_56_del_pezzo_lines_at_n7():
     # come back depends on the engine
     caps = [cap_of(project(c)) for c in del_pezzo_lines(7)]
     assert exact_max(SearchParams(n=7), caps).size == 28
+
+
+# ---------------------------------------------------------------------------
+# goldens: sha256 of candidate lists and search reports, recorded before the
+# candidate, graph and greedy code paths were merged
+# ---------------------------------------------------------------------------
+
+def sha(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def caps_payload(caps):
+    return [[list(c.z), c.theta] for c in caps]
+
+
+@pytest.mark.parametrize("n, grid, count, seed, digest", [
+    (2, math.pi / 12, 64, 0, "a4a7617d0288251116bdf946c2456250f1292a212171fe9e98711bbd836ecb7c"),
+    (2, 0.3, 0, 1, "a734275e2ec748f5eaa27443ca20d03eda0b4aa1a358aac554c08c260177711d"),
+    (2, math.pi / 180, 1, 2, "73e4b34015cb9cb9fc481b12adbfe8786760999f47af3ed27298009b8db27104"),
+    (2, 2.0, 240, 3, "38d532b2c7fcba282cacbc4929f08bced8e2afdccb4b725bd3c2b951c5286047"),
+    (3, math.pi / 12, 64, 0, "e518787bbe610e7a5ea8295f0f1c50d63f7daea5967f72af22c366e81b17778c"),
+    (3, 0.3, 64, 4, "d2588affac1bcfef69909248b5b6dea72628a1a3edf9919c8d00bf0d82cf2541"),
+    (3, math.pi / 10, 1, 5, "081c3445647f77e76a096e4e18ab86d56c36cd8477a317297fd0f2cc2b65e03e"),
+    (3, math.pi / 12, 0, 6, "3a088dbff70a89ed6097e9462979a61e0becbd69b7f8bbe805086a2007452938"),
+    (3, math.pi / 8, 240, 7, "010ff019e96d0ed74a94dc108e7a839376abc1e644a955c13bf1b05a3b586898"),
+    (3, 0.1, 64, 8, "5aad40b9dde9997203991e799f495b8eb6b2560cad115c80ba6e709d5f100dc8"),
+    (4, math.pi / 12, 64, 0, "1b365f7c464f6bdd83601884c13ac1281317286a7e27aa82521681465e51bea8"),
+    (4, 0.3, 1, 1, "e3a11ed00bd6f3d4a081ed24a6732de5df2bb0b6e4a610bc03a9c9cdbbb04315"),
+    (6, math.pi / 12, 240, 3, "b4b953ab822db02ba83443ccfb83249ca4a549be5b058aef811e40f4465b4691"),
+    (6, 0.3, 0, 2, "0d029dc4e9c1125a17e27e904b06ffeccb306618290e53b67c07015504f59e40"),
+    (8, math.pi / 12, 240, 4, "fd8639e5dea53608e0d6f3988786f3d7bd12bd45d4f7c1a2568d9dcbca6da84c"),
+    (8, 0.3, 64, 5, "10d655983e115d7f046e4412ba40b27e689fce6daaae74c5d07b413c99cc3be8"),
+])
+def test_candidate_caps_golden(n, grid, count, seed, digest):
+    params = SearchParams(n=n, candidate_grid=grid, random_candidates=count)
+    rng = np.random.default_rng(seed)
+    # two draws from one generator also pin how much of its stream a draw uses
+    first = candidate_caps(params, rng)
+    second = candidate_caps(params, rng)
+    assert sha([caps_payload(first), caps_payload(second)]) == digest
+
+
+@pytest.mark.parametrize("n, grid, seed, restarts, digest", [
+    (2, math.pi / 12, 1, 4, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
+    (2, 0.3, 99, 3, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
+    (2, math.pi / 180, 5, 2, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
+    (3, math.pi / 12, 7, 8, "d44725fb8e07d2c84e9a09a31f58540c6cd6dba2906bcd17e742c62f8d011560"),
+    (3, 0.3, 11, 2, "d44725fb8e07d2c84e9a09a31f58540c6cd6dba2906bcd17e742c62f8d011560"),
+    (3, math.pi / 10, 12, 3, "d44725fb8e07d2c84e9a09a31f58540c6cd6dba2906bcd17e742c62f8d011560"),
+    (4, math.pi / 12, 3, 2, "aa4ff9dd0fefc153f2cb6720fcc14fd243bdb2650e4bec920ae3e29b2f2d27b3"),
+    (6, math.pi / 12, 5, 2, "e711ebe04692f1a533a1a12ccceaafd39aa12cfe75c149b687b779014484ba1f"),
+    (8, 0.3, 2, 1, "f5e2f5905e6c4ec9e673b26528d2a2fa511d38d5bf0c44634bc6905c10746e32"),
+])
+def test_greedy_max_golden(n, grid, seed, restarts, digest):
+    params = SearchParams(n=n, seed=seed, restarts=restarts, candidate_grid=grid)
+    assert sha(greedy_max(params).to_json_dict()) == digest
+
+
+@pytest.mark.parametrize("grid, seed", [(math.pi / 12, 0), (0.3, 1), (0.3, 2)])
+def test_exact_max_golden_on_bench_style_sets(grid, seed):
+    # an n = 3 grid set and an n = 8 draw from one generator, each cut at
+    # the exact-search limit; the cross-polytope is the maximum clique of all
+    rng = np.random.default_rng(seed)
+    cand3 = candidate_caps(
+        SearchParams(n=3, candidate_grid=grid, random_candidates=64), rng
+    )[:256]
+    cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
+    assert sha([
+        exact_max(SearchParams(n=3), cand3).to_json_dict(),
+        exact_max(SearchParams(n=8), cand8).to_json_dict(),
+    ]) == "4cc523804a6e3bff3c057ff1925d1ef7fbde572f3c8c8758aa9450aaa5f55687"
+
+
+@pytest.mark.parametrize("n, count, seed, digest", [
+    (3, 60, 0, "380ebbdd3f48b0d58472dc8a2b599c6b7f4b7e68340730487cc9f0e1001c564f"),
+    (4, 90, 1, "c5aca792c2431c28ce481ba3c6cb752711c57a3cec1081c97f1a0e95dae3a3c7"),
+    (5, 120, 2, "0146e2787a85f52ebd6587d12fa5c61efba63990a0ec6fb32ac5e578bcc7dcb5"),
+    (6, 160, 3, "740a9ce71667485134e28fa717fb04d5d25648107c2c870153a7e5562b8123be"),
+    (8, 220, 4, "a16bfb1cd937467f3df63c861ec71e074dad0fd2c8a754810a770a01a84e013b"),
+])
+def test_exact_max_golden_on_random_feet(n, count, seed, digest):
+    # random feet only, half the radii at pi/2: many maximum cliques, so the
+    # digest pins which one the engine returns
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    theta = np.where(rng.random(count) < 0.5, HALF, rng.uniform(0.2, HALF, count))
+    caps = [CapRep(z=tuple(row), theta=t) for row, t in zip(z.tolist(), theta.tolist())]
+    assert sha(exact_max(SearchParams(n=n), caps).to_json_dict()) == digest
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "ce2027eddd7c28f75c066ce4179780cf8393996cafbd920325e9a88ef838600f"),
+    (5, "e2daf0936a1deced29f2dc557ab122cd45d8209fe890d59f8c128ed26f598037"),
+    (6, "a68a68b38b025136826cea1b9ced14eeefbd5a97a00ca9952ee442d08129d7c0"),
+    (7, "fe777f9eaa4bf10d842082885dd517e41333946b7106d58c54adf6e285fc0485"),
+])
+def test_exact_max_golden_on_del_pezzo_lines(n, digest):
+    caps = [cap_of(project(c)) for c in del_pezzo_lines(n)]
+    assert sha(exact_max(SearchParams(n=n), caps).to_json_dict()) == digest
