@@ -4,16 +4,9 @@ packing bounds, and kissing-configuration search."""
 __version__ = "0.1.0"
 
 from .conditions import (
-    ConditionVerdict,
     CurveFamily,
     ModelFamily,
     ValidationReport,
-    check_I,
-    check_II,
-    check_III,
-    check_i,
-    check_ii,
-    check_iii,
     equivalence_probe,
     max_norm_on_ray,
     pair_margins,
@@ -32,7 +25,6 @@ from .klein import (
     KleinPoint,
     OrthDisc,
     Region,
-    angular_distance,
     cap_of,
     orth_disc,
     point_of,

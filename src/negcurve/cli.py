@@ -386,6 +386,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # numpy names the allocation it could not make
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
     except NegCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

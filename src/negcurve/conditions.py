@@ -40,121 +40,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateCapPairError, NumericalError
-from .klein import CapRep, KleinPoint, Region
+from .klein import CapRep
 from .lorentz import QuadraticLattice
 
 #: symmetric guard band for all non-strict model-level inequalities
 TOL_BOUNDARY = 1e-9
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    """Outcome of a single condition check.
-
-    ``margin`` is a signed distance to the condition's boundary, positive
-    when the condition holds with room to spare.  For the exact integer
-    checks it is an int or Fraction; for model-level checks a float.
-    """
-
-    holds: bool
-    margin: Union[int, float, Fraction]
-    value: Union[int, float, Fraction]
-
-
 # ---------------------------------------------------------------------------
-# lattice-level checks (exact)
+# the model-level pair kernel
 # ---------------------------------------------------------------------------
-
-def _require_nonzero(cls: Sequence[int]) -> None:
-    if not any(int(c) for c in cls):
-        raise ValueError("class must be nonzero")
-
-
-def check_I(lat: QuadraticLattice, cls: Sequence[int]) -> ConditionVerdict:
-    """C^2 < 0, exactly."""
-    _require_nonzero(cls)
-    v = lat.norm(cls)
-    return ConditionVerdict(holds=v < 0, margin=-v, value=v)
-
-
-def check_II(lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]) -> ConditionVerdict:
-    """C_1 . C_2 >= 0, exactly."""
-    _require_nonzero(c1)
-    _require_nonzero(c2)
-    v = lat.pairing(c1, c2)
-    return ConditionVerdict(holds=v >= 0, margin=v, value=v)
-
-
-def check_III(lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]) -> ConditionVerdict:
-    """(a C_1 + b C_2)^2 <= 0 for all positive a, b, decided exactly.
-
-    ``value`` is the supremum of the combined norm over the positive ray
-    directions (a Fraction), so holds == (value <= 0).
-    """
-    n1 = lat.norm(c1)
-    n2 = lat.norm(c2)
-    if n1 >= 0 or n2 >= 0:
-        raise ValueError(
-            f"check_III requires negative classes, got norms {n1} and {n2}"
-        )
-    h = lat.pairing(c1, c2)
-    if h <= 0:
-        sup = Fraction(max(n1, n2))
-    else:
-        sup = Fraction(n1 * n2 - h * h, n1)
-    return ConditionVerdict(holds=sup <= 0, margin=-sup, value=sup)
-
-
-def positive_combination_witness(
-    lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]
-):
-    """A witness that (III) fails: integer (a, b) with positive square if one
-    exists within the grid {1..50}^2, else the real maximizer ray.
-
-    Returns None when (III) holds.
-    """
-    verdict = check_III(lat, c1, c2)
-    if verdict.holds:
-        return None
-    n1, n2 = lat.norm(c1), lat.norm(c2)
-    h = lat.pairing(c1, c2)
-    best = None
-    grid = range(1, 51)
-    for a in grid:
-        for b in grid:
-            val = a * a * n1 + 2 * a * b * h + b * b * n2
-            if val > 0:
-                best = ("integer", (a, b), val)
-                break
-        if best:
-            break
-    if best is None:
-        t_star = Fraction(-h, n1)  # > 0 since h > 0 and n1 < 0
-        best = ("real", (t_star, Fraction(1)), verdict.value)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# model-level checks
-# ---------------------------------------------------------------------------
-
-def check_i(obj: Union[KleinPoint, CapRep]) -> ConditionVerdict:
-    """Membership in the cylinder.
-
-    The margin is the normalized H-norm with sign flipped
-    (-H(c,c)/|c|^2), which is positive exactly on space-like rays.
-    """
-    if isinstance(obj, CapRep):
-        cos_t = math.cos(obj.theta)
-        margin = (1.0 - cos_t * cos_t) / (1.0 + cos_t * cos_t)
-        return ConditionVerdict(holds=True, margin=margin, value=-margin)
-    c = obj.array()
-    h = c[0] * c[0] - float(c[1:] @ c[1:])
-    margin = -h / float(c @ c)
-    return ConditionVerdict(
-        holds=obj.region is Region.CYLINDER, margin=margin, value=h
-    )
-
 
 def pair_margins(Z, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angular distances and the (ii)/(iii) margins of every pair of caps.
@@ -187,44 +82,14 @@ def cap_arrays(caps: Sequence[CapRep]) -> tuple[np.ndarray, np.ndarray]:
 
 def coincident_feet(Z) -> np.ndarray:
     """(k, k) mask of the pairs of rows of ``Z`` that are the same foot,
-    compared exactly as :func:`pair_margin` compares two feet (arccos of
-    the dot product cannot tell feet closer than ~1.5e-8 apart from equal
-    ones); the diagonal is true."""
+    compared exactly (arccos of the dot product cannot tell feet closer
+    than ~1.5e-8 apart from equal ones); the diagonal is true."""
     Z = np.asarray(Z, dtype=float)
     same = np.ones((len(Z), len(Z)), dtype=bool)
     # column by column: a (k, k, n) comparison reduced over n is ~5x slower
     for col in Z.T:
         same &= np.equal.outer(col, col)
     return same
-
-
-def _degenerate_pair_error() -> DegenerateCapPairError:
-    return DegenerateCapPairError(
-        "cap feet coincide (angular distance 0); the pair predicates "
-        "degenerate to equality or nesting of the caps"
-    )
-
-
-def pair_margin(c1: CapRep, c2: CapRep) -> tuple[float, float]:
-    """(m_ii, m_iii) of one pair of caps, from the 1x1 block of
-    :func:`pair_margins`; raises :class:`DegenerateCapPairError` when the
-    feet coincide."""
-    if tuple(c1.z) == tuple(c2.z):
-        raise _degenerate_pair_error()
-    _, m_ii, m_iii = pair_margins((c1.z, c2.z), (c1.theta, c2.theta))
-    return float(m_ii[0, 1]), float(m_iii[0, 1])
-
-
-def check_ii(c1: CapRep, c2: CapRep) -> ConditionVerdict:
-    """cos(delta) <= cos(theta_1) cos(theta_2), within TOL_BOUNDARY."""
-    margin = pair_margin(c1, c2)[0]
-    return ConditionVerdict(holds=margin >= -TOL_BOUNDARY, margin=margin, value=-margin)
-
-
-def check_iii(c1: CapRep, c2: CapRep) -> ConditionVerdict:
-    """theta_1 + theta_2 >= delta: the closed caps on S^{n-1} intersect."""
-    margin = pair_margin(c1, c2)[1]
-    return ConditionVerdict(holds=margin >= -TOL_BOUNDARY, margin=margin, value=margin)
 
 
 @dataclass(frozen=True)
@@ -376,13 +241,13 @@ def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
     return _validate_lattice(fam) if isinstance(fam, CurveFamily) else _validate_model(fam)
 
 
-def _report(kind, names, elem_margin, elem_ok, margins, ok, checked) -> ValidationReport:
+def _report(kind, names, pairs, elem_margin, elem_ok, margins, ok, checked) -> ValidationReport:
     """The report from the (k,) element margins and verdicts and the
     (pairs, 2) pair margins, verdicts and checked masks, one row per pair
-    i < j in row-major order, of the conditions ``names``; failures are
-    ordered by (indices, condition)."""
+    i < j of ``pairs`` = np.triu_indices(k, 1), of the conditions
+    ``names``; failures are ordered by (indices, condition)."""
     k = len(elem_margin)
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = pairs
     bad = np.flatnonzero(~elem_ok)
     failures = [
         PairVerdict((i,), names[0], m)
@@ -435,6 +300,7 @@ def _validate_lattice(fam: CurveFamily) -> ValidationReport:
     return _report(
         "lattice",
         ("I", "II", "III"),
+        (iu, ju),
         margin_I,
         holds_I,
         np.column_stack([margin_II, -sup]),
@@ -447,17 +313,51 @@ def _validate_lattice(fam: CurveFamily) -> ValidationReport:
     )
 
 
+def positive_combination_witness(
+    lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]
+):
+    """A witness that (III) fails: integer (a, b) with positive square if one
+    exists within the grid {1..50}^2, else the real maximizer ray.
+
+    Returns None when (III) holds.
+    """
+    n1, n2 = lat.norm(c1), lat.norm(c2)
+    if n1 >= 0 or n2 >= 0:
+        raise ValueError(
+            f"a (III) witness needs negative classes, got norms {n1} and {n2}"
+        )
+    report = _validate_lattice(CurveFamily(lat, [c1, c2]))
+    if all(f.condition != "III" for f in report.failures):
+        return None
+    h = lat.pairing(c1, c2)
+    grid = range(1, 51)
+    for a in grid:
+        for b in grid:
+            val = a * a * n1 + 2 * a * b * h + b * b * n2
+            if val > 0:
+                return ("integer", (a, b), val)
+    # (III) fails only when h > 0, so t* = -h/n1 > 0; the value is the
+    # exact supremum of the norm on the positive combinations
+    return ("real", (Fraction(-h, n1), Fraction(1)), Fraction(n1 * n2 - h * h, n1))
+
+
 def _validate_model(fam: ModelFamily) -> ValidationReport:
     z, theta = cap_arrays(fam.caps)
-    if np.any(np.triu(coincident_feet(z), 1)):
-        raise _degenerate_pair_error()
-    _, m_ii, m_iii = pair_margins(z, theta)
     iu, ju = np.triu_indices(len(fam), 1)
+    if coincident_feet(z)[iu, ju].any():
+        raise DegenerateCapPairError(
+            "cap feet coincide (angular distance 0); the pair predicates "
+            "degenerate to equality or nesting of the caps"
+        )
+    _, m_ii, m_iii = pair_margins(z, theta)
     margins = np.column_stack([m_ii[iu, ju], m_iii[iu, ju]])
+    # the normalized H-norm -H(c, c)/|c|^2 of the cylinder point (cos theta, z)
+    c = np.cos(theta)
     return _report(
         "model",
         ("i", "ii", "iii"),
-        np.array([check_i(cap).margin for cap in fam.caps]),
+        (iu, ju),
+        (1.0 - c * c) / (1.0 + c * c),
         # a cap lies on the cylinder, so (i) holds for every element
         np.ones(len(fam), dtype=bool),
         margins,
@@ -502,6 +402,10 @@ class ProbeReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+
+#: disagreement examples a probe report lists, the first of each
+#: condition pair in sample order
+PROBE_EXAMPLES = 10
 
 #: sample pairs the probe evaluates together; the fixed block keeps its
 #: temporaries small, and every row gets the same arithmetic as alone
@@ -609,7 +513,6 @@ def equivalence_probe(
     n: int,
     samples: int,
     seed: int = 0,
-    max_examples: int = 10,
 ) -> ProbeReport:
     """Draw random space-like pairs and compare the two condition systems.
 
@@ -623,8 +526,6 @@ def equivalence_probe(
         raise ValueError("samples must be >= 1")
     if n < 2:
         raise ValueError("the probe needs n >= 2")
-    if max_examples < 0:
-        raise ValueError("max_examples must be >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
@@ -648,7 +549,7 @@ def equivalence_probe(
                 big_cap += int(np.count_nonzero(
                     (values["theta1"][idx] + values["theta2"][idx]) > math.pi
                 ))
-            for k in idx[: max_examples - len(found[name])]:
+            for k in idx[: PROBE_EXAMPLES - len(found[name])]:
                 found[name].append(
                     {
                         "conditions": name,
@@ -666,7 +567,7 @@ def equivalence_probe(
         III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
 
     # examples in the order I/i, II/ii, III/iii, each by ascending index
-    examples = [ex for exs in found.values() for ex in exs][:max_examples]
+    examples = [ex for exs in found.values() for ex in exs][:PROBE_EXAMPLES]
     return ProbeReport(
         n=n,
         samples=samples,

@@ -176,16 +176,6 @@ def orth_disc(point: KleinPoint) -> OrthDisc:
     )
 
 
-def angular_distance(z1, z2) -> float:
-    """Geodesic distance in [0, pi] between unit vectors on S^{n-1}."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    for z in (z1, z2):
-        if abs(float(z @ z) - 1.0) > 1e-9:
-            raise ValueError("angular_distance requires unit vectors")
-    return math.acos(min(1.0, max(-1.0, float(z1 @ z2))))
-
-
 # ---------------------------------------------------------------------------
 # figure data (n = 2): point streams for external plotting
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ into the canonical space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,9 +64,13 @@ def sign_class(u) -> int:
     squared, so the classification is invariant under positive scaling.
     """
     u = np.asarray(u, dtype=float)
-    eucl = float(u @ u)
+    # entries from ~1e154 up square beyond the double range
+    with np.errstate(over="ignore"):
+        eucl = float(u @ u)
     if eucl == 0.0:
         raise ValueError("sign_class of the zero vector is undefined")
+    if not math.isfinite(eucl):
+        raise NumericalError("vector entries exceed the double range when squared")
     q = inner(u, u)
     band = DEFAULT_SIGN_TOL * eucl
     if q > band:

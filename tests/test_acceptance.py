@@ -20,7 +20,6 @@ import pytest
 
 from negcurve.conditions import (
     CurveFamily,
-    check_III,
     equivalence_probe,
     max_norm_on_ray,
     positive_combination_witness,
@@ -198,7 +197,8 @@ def test_criterion_4_condition_three_vs_brute_force():
         h = lat.pairing(c1, c2)
         q = aa * aa * n1 + 2 * aa * bb * h + bb * bb * n2
         grid_positive = bool(np.any(q > 0))
-        holds = check_III(lat, c1, c2).holds
+        report = validate_family(CurveFamily(lat, [c1, c2]))
+        holds = all(f.condition != "III" for f in report.failures)
         if holds and grid_positive:
             mismatches += 1
         if not holds:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from negcurve import conditions
 from negcurve.cli import main
 
 BL3_DOC = {
@@ -290,6 +291,11 @@ HARD_DOCS = {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[0, 1, 0], [0, 0, 10**400]],
     },
+    # a double, but its square is not
+    "class-near-double-limit": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[0, 1, 0], [0, 0, 10**155]],
+    },
 }
 
 
@@ -309,6 +315,9 @@ HARD_DOCS = {
         ("class-beyond-double", "validate", 3, "numerical failure: class pairings exceed"),
         ("class-beyond-double", "embed", 3, "numerical failure: class pairings exceed"),
         ("class-beyond-double", "bound --file", 3, "numerical failure: class entries exceed"),
+        ("class-near-double-limit", "validate", 3, "numerical failure: class pairings exceed"),
+        ("class-near-double-limit", "embed", 3, "numerical failure: class pairings exceed"),
+        ("class-near-double-limit", "bound --file", 3, "numerical failure: vector entries exceed"),
         ("valid-rank-3", "validate", 0, ""),
         # --n must agree with the document's rank - 1
         ("valid-rank-3", "bound --n 2 --file", 0, ""),
@@ -349,6 +358,20 @@ def test_bound_envelope_overflow_is_numerical_failure(argv, code):
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
     else:
         assert lines == [] and json.loads(proc.stdout)["outputs"]["bound"]["n"] == 565
+
+
+def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
+    # the sampler's allocation fails as numpy's would, without asking the
+    # machine for the ~32 TB that 10^12 samples at n = 3 take
+    def no_memory(rng, count, n):
+        raise MemoryError(f"Unable to allocate {count * (n + 1) * 8} bytes")
+
+    monkeypatch.setattr(conditions, "_sample_spacelike", no_memory)
+    code = main(["probe", "--samples", "1000000000000"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
 
 
 def test_probe_stdout_golden(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,6 @@ from negcurve import conditions
 from negcurve.conditions import (
     CurveFamily,
     ModelFamily,
-    check_I,
-    check_II,
-    check_III,
-    check_i,
-    check_ii,
-    check_iii,
     cap_arrays,
     equivalence_probe,
     max_norm_on_ray,
@@ -23,7 +18,7 @@ from negcurve.conditions import (
     validate_family,
 )
 from negcurve.errors import DegenerateCapPairError
-from negcurve.klein import CapRep, cap_of, point_of, project
+from negcurve.klein import CapRep, Region, cap_of, point_of, project
 from negcurve.lorentz import QuadraticLattice, embed_class, signature
 from negcurve.search import SearchParams, _compatibility_matrix, candidate_caps, compatible
 
@@ -44,41 +39,55 @@ def grid_has_positive(n1, n2, h, limit=50):
     return bool(np.any(q > 0))
 
 
+def failed(report):
+    """The failures of a report as {(indices, condition): margin}."""
+    return {(f.indices, f.condition): f.margin for f in report.failures}
+
+
+def lattice_report(lat, *classes):
+    return validate_family(CurveFamily(lat, classes))
+
+
+def model_report(*caps):
+    return validate_family(ModelFamily(caps))
+
+
 # ---------------------------------------------------------------------------
-# exact lattice-level checks
+# exact lattice-level conditions on one class or one pair
 # ---------------------------------------------------------------------------
 
 def test_check_I_examples():
     lat = QuadraticLattice([[1, 0], [0, -1]])
-    assert check_I(lat, (0, 1)).holds
-    assert check_I(lat, (0, 1)).margin == 1
-    assert not check_I(lat, (1, 0)).holds
-    assert check_I(DIAG3, (1, -1, -1)).holds
-    assert check_I(DIAG3, (1, -1, -1)).value == -1
+    report = lattice_report(lat, (0, 1))
+    assert report.overall and report.min_margins["I"] == 1
+    assert failed(lattice_report(lat, (1, 0))) == {((0,), "I"): -1.0}
+    report = lattice_report(DIAG3, (1, -1, -1))
+    # the margin is the negated norm -1
+    assert report.overall and report.min_margins["I"] == 1
     with pytest.raises(ValueError):
-        check_I(lat, (0, 0))
+        lattice_report(lat, (0, 0))
 
 
 def test_check_II_examples():
-    v = check_II(DIAG3, (0, 1, 0), (0, 0, 1))
-    assert v.holds and v.value == 0
-    dup = check_II(DIAG3, (0, 1, 0), (0, 1, 0))
-    assert not dup.holds and dup.value == -1
-    assert check_II(DIAG3, (1, -1, 0), (1, 0, -1)).value == 1
+    report = lattice_report(DIAG3, (0, 1, 0), (0, 0, 1))
+    assert report.overall and report.min_margins["II"] == 0
+    dup = lattice_report(DIAG3, (0, 1, 0), (0, 1, 0))
+    assert failed(dup)[(0, 1), "II"] == -1
+    report = lattice_report(DIAG3, (1, -1, 0), (1, 0, -1))
+    assert ((0, 1), "II") not in failed(report) and report.min_margins["II"] == 1
 
 
 def test_check_III_examples():
-    # orthogonal (-1)-classes
-    v = check_III(DIAG3, (0, 1, 0), (0, 0, 1))
-    assert v.holds and v.value == -1
+    # orthogonal (-1)-classes: the supremum is -1
+    report = lattice_report(DIAG3, (0, 1, 0), (0, 0, 1))
+    assert report.overall and report.min_margins["III"] == 1
 
     # norms -1, -1 with pairing 2: fails, (C1 + C2)^2 = 2 > 0
     c1, c2 = (0, 1, 0), (2, -2, 1)
     assert DIAG3.norm(c1) == -1 and DIAG3.norm(c2) == -1
     assert DIAG3.pairing(c1, c2) == 2
-    v = check_III(DIAG3, c1, c2)
-    assert not v.holds
-    assert v.value == 3  # (n1 n2 - h^2)/n1 = (1 - 4)/(-1)
+    # the supremum is (n1 n2 - h^2)/n1 = (1 - 4)/(-1) = 3
+    assert failed(lattice_report(DIAG3, c1, c2)) == {((0, 1), "III"): -3.0}
     assert grid_has_positive(-1, -1, 2)
     kind, (a, b), val = positive_combination_witness(DIAG3, c1, c2)
     assert kind == "integer" and (a, b) == (1, 1) and val == 2
@@ -86,8 +95,8 @@ def test_check_III_examples():
     # boundary case: norms -2, -2, pairing 2 -> supremum exactly 0
     c1, c2 = (0, 1, 1), (0, -1, -1)
     assert DIAG3.norm(c1) == -2 and DIAG3.pairing(c1, c2) == 2
-    v = check_III(DIAG3, c1, c2)
-    assert v.holds and v.value == 0
+    report = lattice_report(DIAG3, c1, c2)
+    assert ((0, 1), "III") not in failed(report) and report.min_margins["III"] == 0
     assert not grid_has_positive(-2, -2, 2)
 
 
@@ -98,14 +107,29 @@ def test_check_III_negative_pairing_branch():
     n1, n2, h = DIAG3.norm(c1), DIAG3.norm(c2), DIAG3.pairing(c1, c2)
     assert (n1, n2, h) == (-1, -1, -3)
     assert h * h > n1 * n2
-    v = check_III(DIAG3, c1, c2)
-    assert v.holds
+    assert ((0, 1), "III") not in failed(lattice_report(DIAG3, c1, c2))
     assert not grid_has_positive(n1, n2, h)
 
 
 def test_check_III_requires_negative_classes():
+    # (III) is decided only on pairs of negative classes
+    assert lattice_report(DIAG3, (1, 0, 0), (0, 1, 0)).checked["III"] == 0
     with pytest.raises(ValueError):
-        check_III(DIAG3, (1, 0, 0), (0, 1, 0))
+        positive_combination_witness(DIAG3, (1, 0, 0), (0, 1, 0))
+
+
+def test_witness_real_maximizer():
+    # (III) fails, but only on a ratio a/b near sqrt(2) that no a, b <= 50
+    # reach, so the witness is the exact real maximizer ray
+    n1, n2, h = -(10**8), -2 * 10**8, 141421357
+    lat = QuadraticLattice([[n1, h], [h, n2]])
+    assert failed(lattice_report(lat, (1, 0), (0, 1)))[(0, 1), "III"] < 0
+    assert positive_combination_witness(lat, (1, 0), (0, 1)) == (
+        "real", (Fraction(141421357, 10**8), Fraction(1)), Fraction(215721449, 10**8)
+    )
+    assert positive_combination_witness(lat, (0, 1), (1, 0)) == (
+        "real", (Fraction(141421357, 2 * 10**8), Fraction(1)), Fraction(215721449, 2 * 10**8)
+    )
 
 
 def test_check_III_against_grid_oracle():
@@ -128,7 +152,7 @@ def test_check_III_against_grid_oracle():
             continue
         done += 1
         h = lat.pairing(c1, c2)
-        holds = check_III(lat, c1, c2).holds
+        holds = ((0, 1), "III") not in failed(lattice_report(lat, c1, c2))
         positive = grid_has_positive(n1, n2, h)
         if holds:
             assert not positive, (n1, n2, h)
@@ -138,55 +162,59 @@ def test_check_III_against_grid_oracle():
 
 
 # ---------------------------------------------------------------------------
-# model-level checks
+# model-level conditions on one cap or one pair
 # ---------------------------------------------------------------------------
 
 def test_check_i():
-    assert check_i(project((0, 1, 0))).holds
-    assert not check_i(project((2, 0, 0))).holds
+    # (i) of a point is its region: the class projects onto the cylinder
+    assert project((0, 1, 0)).region is Region.CYLINDER
+    assert project((2, 0, 0)).region is not Region.CYLINDER
     # a (-1)-class embeds onto the cylinder
     lat = QuadraticLattice([[1, 0], [0, -1]])
-    assert check_I(lat, (0, 1)).holds
-    assert check_i(project(embed_class(lat, (0, 1)))).holds
-    assert check_i(CapRep(z=(1.0, 0.0), theta=0.4)).holds
+    assert lattice_report(lat, (0, 1)).overall
+    assert project(embed_class(lat, (0, 1))).region is Region.CYLINDER
+    report = model_report(CapRep(z=(1.0, 0.0), theta=0.4))
+    assert report.overall and report.min_margins["i"] > 0
 
 
 def test_check_ii_examples():
     half = math.pi / 2
     e1 = CapRep(z=(1.0, 0.0), theta=half)
     e2 = CapRep(z=(0.0, 1.0), theta=half)
-    v = check_ii(e1, e2)
-    assert v.holds and abs(v.value) < 1e-15
+    report = model_report(e1, e2)
+    assert report.overall and abs(report.min_margins["ii"]) < 1e-15
 
     close = CapRep(z=(math.cos(math.pi / 4), math.sin(math.pi / 4)), theta=half)
-    assert not check_ii(e1, close).holds
+    assert ((0, 1), "ii") in failed(model_report(e1, close))
 
     third = math.pi / 3
     a = CapRep(z=(1.0, 0.0), theta=third)
     b = CapRep(z=(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)), theta=third)
-    v = check_ii(a, b)
-    assert v.holds
-    assert v.value == pytest.approx(-0.5 - 0.25, abs=1e-12)
+    report = model_report(a, b)
+    assert ((0, 1), "ii") not in failed(report)
+    assert report.min_margins["ii"] == pytest.approx(0.5 + 0.25, abs=1e-12)
 
 
 def test_check_iii_examples():
     half = math.pi / 2
-    v = check_iii(
+    report = model_report(
         CapRep(z=(1.0, 0.0), theta=half), CapRep(z=(-1.0, 0.0), theta=half)
     )
-    assert v.holds and abs(v.value) < 1e-12  # boundary
+    # boundary
+    assert ((0, 1), "iii") not in failed(report) and abs(report.min_margins["iii"]) < 1e-12
 
     quarter = math.pi / 4
-    v = check_iii(
+    report = model_report(
         CapRep(z=(1.0, 0.0), theta=quarter), CapRep(z=(0.0, 1.0), theta=quarter)
     )
-    assert v.holds and abs(v.value) < 1e-12  # equality
+    # equality
+    assert ((0, 1), "iii") not in failed(report) and abs(report.min_margins["iii"]) < 1e-12
 
     sixth = math.pi / 6
-    v = check_iii(
+    report = model_report(
         CapRep(z=(1.0, 0.0), theta=sixth), CapRep(z=(0.0, 1.0), theta=sixth)
     )
-    assert not v.holds
+    assert ((0, 1), "iii") in failed(report)
     # sampled-cap oracle agrees: no common point on a fine circle sweep
     angles = np.linspace(0, 2 * math.pi, 20_000, endpoint=False)
     in_a = np.minimum(angles, 2 * math.pi - angles) <= sixth
@@ -206,7 +234,7 @@ def test_cap_intersection_oracle_random():
         db = np.abs(angles - gap)
         db = np.minimum(db, 2 * math.pi - db)
         sampled = bool(np.any((da <= t1) & (db <= t2)))
-        verdict = check_iii(a, b).holds
+        verdict = ((0, 1), "iii") not in failed(model_report(a, b))
         margin = abs(t1 + t2 - gap)
         if margin > 2 * math.pi / 4096:
             assert verdict == sampled
@@ -216,9 +244,9 @@ def test_degenerate_pair_rejected():
     a = CapRep(z=(1.0, 0.0), theta=0.3)
     b = CapRep(z=(1.0, 0.0), theta=0.7)
     with pytest.raises(DegenerateCapPairError):
-        check_ii(a, b)
+        model_report(a, b)
     with pytest.raises(DegenerateCapPairError):
-        check_iii(a, b)
+        model_report(b, a)
 
 
 def test_coincident_random_feet_are_degenerate():
@@ -233,8 +261,6 @@ def test_coincident_random_feet_are_degenerate():
     for a, b in pairs:
         with pytest.raises(DegenerateCapPairError):
             validate_family(ModelFamily([a, b]))
-        with pytest.raises(DegenerateCapPairError):
-            check_ii(a, b)
         assert not compatible(a, b)
     caps = [cap for pair in pairs[:100] for cap in pair]
     adj = _compatibility_matrix(caps)
@@ -273,12 +299,12 @@ def scalar_records(caps, tol=1e-9):
     return out
 
 
-def mixed_caps(rng, n, k):
-    """Random caps with theta across (0, pi): many pairs have theta > pi/2
-    and theta_i + theta_j > pi."""
+def mixed_caps(rng, n, k, low=0.05, high=math.pi - 0.05):
+    """Random caps with theta across (low, high), by default across (0, pi):
+    many pairs have theta > pi/2 and theta_i + theta_j > pi."""
     z = rng.normal(size=(k, n))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    theta = rng.uniform(0.05, math.pi - 0.05, size=k)
+    theta = rng.uniform(low, high, size=k)
     return [CapRep(z=tuple(map(float, a)), theta=float(t)) for a, t in zip(z, theta)]
 
 
@@ -340,6 +366,49 @@ def test_validate_model_record_order_matches_oracle():
         assert report.min_margins[cond] == pytest.approx(
             min(r[3] for r in expected if r[1] == cond), abs=1e-13
         )
+
+
+def report_digest(reports) -> str:
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of validate_family(ModelFamily(caps)).to_json_dict() as recorded
+# when the (i) margins were computed cap by cap in scalar floats
+MODEL_REPORT_GOLDEN = [
+    # (seed, n, k, theta range, sha256)
+    (101, 2, 12, (0.05, math.pi - 0.05),
+     "3e21234efe12842accd90fc45977e1678081d7ed451dc87d0131fa235c4abc8b"),
+    (102, 3, 40, (0.05, math.pi - 0.05),
+     "58e07b7b982b00dc35fa871c45d299aea1439580190aabbb1188dc077b7ad9d3"),
+    (103, 5, 25, (math.pi / 2, math.pi - 0.01),
+     "413fb15c3f1de9707120720a315e53af2f0705e6e61d67f0a2458487d21e7614"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, n, k, span, sha", MODEL_REPORT_GOLDEN, ids=[f"seed{g[0]}" for g in MODEL_REPORT_GOLDEN]
+)
+def test_validate_model_report_golden(seed, n, k, span, sha):
+    caps = mixed_caps(np.random.default_rng(seed), n, k, *span)
+    report = validate_family(ModelFamily(caps))
+    assert report.failures and max(c.theta for c in caps) > math.pi / 2
+    assert report_digest(report.to_json_dict()) == sha
+
+
+def test_validate_model_report_golden_valid_and_single_caps():
+    big = [CapRep(z=(1.0, 0.0, 0.0), theta=2.0), CapRep(z=(-1.0, 0.0, 0.0), theta=2.5),
+           CapRep(z=(0.0, 1.0, 0.0), theta=1.7)]
+    report = validate_family(ModelFamily(big))
+    assert report.overall
+    assert report_digest(report.to_json_dict()) == (
+        "02f34d763a65a301ec68be1dc167e06304ad0b6ad929f76fe024621bcc1bfec6"
+    )
+    # one-cap reports pin the (i) margin of every cap bit for bit
+    singles = mixed_caps(np.random.default_rng(104), 3, 3000, 1e-6, math.pi - 1e-6)
+    assert report_digest([model_report(c).to_json_dict() for c in singles]) == (
+        "ae6dc03ee0843706b2d244d7a3b5457f453e4d3b8149adf546cfb03c889f84d7"
+    )
 
 
 def test_validate_model_degenerate_pair_raises():
@@ -495,21 +564,21 @@ def test_validate_lattice_pair_counts():
 
 
 def lattice_oracle(lat, classes):
-    """Independent oracle for a lattice validation, from check_I/II/III:
-    the (indices, condition, margin) failures sorted by (indices,
-    condition), the checked counts and the minimum margins.  Margins come
-    from the Python-int norms and pairings, the (III) quotient taken in
-    floats as the report takes it."""
-    records = [((i,), "I", check_I(lat, c).holds, float(-lat.norm(c)))
+    """Independent oracle for a lattice validation, from the Python-int
+    norms and pairings: the (indices, condition, margin) failures sorted by
+    (indices, condition), the checked counts and the minimum margins.  (III)
+    holds iff h <= 0 or h^2 <= n1 n2; its margin is the negated supremum,
+    the quotient taken in floats as the report takes it."""
+    records = [((i,), "I", lat.norm(c) < 0, float(-lat.norm(c)))
                for i, c in enumerate(classes)]
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             c1, c2 = classes[i], classes[j]
             n1, n2, h = lat.norm(c1), lat.norm(c2), lat.pairing(c1, c2)
-            records.append(((i, j), "II", check_II(lat, c1, c2).holds, float(h)))
+            records.append(((i, j), "II", h >= 0, float(h)))
             if n1 < 0 and n2 < 0:
                 sup = float(max(n1, n2)) if h <= 0 else float(n1 * n2 - h * h) / float(n1)
-                records.append(((i, j), "III", check_III(lat, c1, c2).holds, -sup))
+                records.append(((i, j), "III", h <= 0 or h * h <= n1 * n2, -sup))
     records.sort(key=lambda r: r[:2])
     checked = {c: sum(r[1] == c for r in records) for c in ("I", "II", "III")}
     min_margins = {c: min(r[3] for r in records if r[1] == c) for c in checked if checked[c]}
@@ -602,25 +671,17 @@ def test_verdicts_invariant_under_scaling_and_isometry():
             continue
         if lat.norm(c1) >= 0 or lat.norm(c2) >= 0:
             continue
-        base = (
-            check_I(lat, c1).holds,
-            check_II(lat, c1, c2).holds,
-            check_III(lat, c1, c2).holds,
-        )
+        base = set(failed(lattice_report(lat, c1, c2)))
         k, m = int(RNG.integers(1, 7)), int(RNG.integers(1, 7))
-        scaled = (
-            check_I(lat, tuple(k * x for x in c1)).holds,
-            check_II(lat, tuple(k * x for x in c1), tuple(m * x for x in c2)).holds,
-            check_III(lat, tuple(k * x for x in c1), tuple(m * x for x in c2)).holds,
-        )
+        scaled = set(failed(lattice_report(lat, k * c1, m * c2)))
         assert base == scaled
         # model level after standardization agrees on (ii)
         v1 = project(embed_class(lat, c1))
         v2 = project(embed_class(lat, c2))
         if np.allclose(v1.spatial, v2.spatial):
             continue
-        model_ii = check_ii(cap_of(v1), cap_of(v2)).holds
-        assert model_ii == base[1]
+        model_ii = ((0, 1), "ii") not in failed(model_report(cap_of(v1), cap_of(v2)))
+        assert model_ii == (((0, 1), "II") not in base)
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +754,6 @@ def test_probe_input_validation():
         equivalence_probe(1, 10)
 
 
-def test_probe_rejects_negative_max_examples():
-    # a negative count used to wrap the example slice around
-    with pytest.raises(ValueError, match="max_examples"):
-        equivalence_probe(2, 2000, seed=1, max_examples=-1)
-
-
 def test_probe_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         equivalence_probe(2, 10, seed=-1)
@@ -712,9 +767,10 @@ def probe_digest(report) -> str:
 # sha256 of the probe report as recorded before the probe moved to
 # coordinate columns and row blocks; the rewrite must leave every byte.
 # Sample counts straddle one block of 2**14 rows; n >= 8 takes numpy's
-# pairwise summation over the coordinates.
+# pairwise summation over the coordinates.  The example count is
+# conditions.PROBE_EXAMPLES, set by the test where it differs from 10.
 PROBE_GOLDEN = [
-    # (n, samples, seed, max_examples, sha256)
+    # (n, samples, seed, examples, sha256)
     (2, 1, 15, 10, "272f00426bc5df3b9c89767154113bbc1792be74de29d7e4782421052d275083"),
     (2, 63, 22, 10, "72cd7c56ad9cf3efa0ec2139fa6e72bd48c00220e7d80faa5dbe8841b348eae8"),
     (2, 16383, 18, 10, "22184f4a381172af78ddcac2c5734bc51fea7e211cef1650a38190f52eb6de47"),
@@ -758,25 +814,27 @@ PROBE_GOLDEN = [
 
 
 @pytest.mark.parametrize(
-    "n, samples, seed, max_examples, sha",
+    "n, samples, seed, examples, sha",
     PROBE_GOLDEN,
     ids=[f"n{n}-s{samples}-m{m}" for n, samples, _, m, _ in PROBE_GOLDEN],
 )
-def test_probe_report_golden(n, samples, seed, max_examples, sha):
-    report = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+def test_probe_report_golden(monkeypatch, n, samples, seed, examples, sha):
+    monkeypatch.setattr(conditions, "PROBE_EXAMPLES", examples)
+    report = equivalence_probe(n, samples, seed=seed)
     assert probe_digest(report) == sha
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
 @pytest.mark.parametrize(
-    "n, samples, seed, max_examples",
+    "n, samples, seed, examples",
     [(2, 3000, 1, 0), (2, 3000, 1, 150), (2, 3000, 1, 10_000), (8, 1500, 4, 10)],
 )
-def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed, max_examples):
+def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed, examples):
     # examples keep the global order, and truncation, across block edges
-    expected = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+    monkeypatch.setattr(conditions, "PROBE_EXAMPLES", examples)
+    expected = equivalence_probe(n, samples, seed=seed)
     monkeypatch.setattr(conditions, "_PROBE_BLOCK", block)
-    report = equivalence_probe(n, samples, seed=seed, max_examples=max_examples)
+    report = equivalence_probe(n, samples, seed=seed)
     assert report.to_json_dict() == expected.to_json_dict()
     assert probe_digest(report) == probe_digest(expected)
 

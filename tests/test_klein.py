@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from negcurve.conditions import pair_margins
 from negcurve.klein import (
     CapRep,
     Region,
-    angular_distance,
     cap_of,
     figure_streams,
     orth_disc,
@@ -190,13 +190,14 @@ def test_rotation_equivariance():
 
 
 def test_angular_distance_examples():
-    e1 = (1.0, 0.0)
-    e2 = (0.0, 1.0)
-    assert angular_distance(e1, e1) == 0.0
-    assert angular_distance(e1, e2) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert angular_distance(e1, (-1.0, 0.0)) == pytest.approx(math.pi, abs=1e-15)
+    # the angular distance of two cap feet is the pair kernel's delta
+    delta = pair_margins([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], [1.0, 1.0, 1.0])[0]
+    assert delta[0, 0] == 0.0
+    assert delta[0, 1] == pytest.approx(math.pi / 2, abs=1e-15)
+    assert delta[0, 2] == pytest.approx(math.pi, abs=1e-15)
+    # feet must be unit vectors
     with pytest.raises(ValueError):
-        angular_distance((2.0, 0.0), e1)
+        CapRep(z=(2.0, 0.0), theta=1.0)
 
 
 def test_figure_streams_shapes():

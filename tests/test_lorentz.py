@@ -62,6 +62,14 @@ def test_sign_class_zero_vector_rejected():
         sign_class((0.0, 0.0, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_sign_class_square_beyond_double_is_numerical_failure():
+    # the entry is a double, its square is not; no overflow warning leaks
+    with pytest.raises(NumericalError):
+        sign_class((0.0, 1.0, 1e155))
+    assert sign_class((0.0, 1.0, 1e150)) == -1
+
+
 def test_sign_class_scale_invariant():
     for _ in range(500):
         v = RNG.normal(size=int(RNG.integers(2, 6)))

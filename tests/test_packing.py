@@ -11,7 +11,7 @@ import pytest
 
 from conftest import del_pezzo_lines
 from negcurve.cli import main
-from negcurve.conditions import ModelFamily, cap_arrays, check_ii, pair_margins
+from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
 from negcurve.errors import InvalidFamilyError
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
@@ -116,10 +116,10 @@ def test_full_condition_implies_reduced():
         gap = RNG.uniform(0.05, math.pi)
         a = circle_cap(0.0, float(t1))
         b = circle_cap(float(gap), float(t2))
-        if not check_ii(a, b).holds:
+        fam = ModelFamily([a, b])
+        if any(f.condition == "ii" for f in validate_family(fam).failures):
             continue
         count += 1
-        fam = ModelFamily([a, b])
         assert all(ok for _, ok, _ in reduce_ii_star(fam))
 
 
@@ -568,20 +568,20 @@ def test_cone_separation_infimum_independent_scan():
 
 def random_valid_family(rng, n, pool=24):
     """Small random family passing the pair conditions: greedy selection
-    from random caps with theta <= pi/2."""
-    from negcurve.conditions import check_iii
-
+    from random caps with theta <= pi/2, against the failed pairs of one
+    validation of the whole pool."""
     caps = []
     for _ in range(pool):
         z = rng.normal(size=n)
         z /= np.linalg.norm(z)
         theta = float(rng.uniform(0.3, HALF))
-        cand = CapRep(z=tuple(z), theta=theta)
-        if all(
-            check_ii(c, cand).holds and check_iii(c, cand).holds for c in caps
-        ):
-            caps.append(cand)
-    return ModelFamily(caps)
+        caps.append(CapRep(z=tuple(z), theta=theta))
+    bad = {f.indices for f in validate_family(ModelFamily(caps)).failures}
+    chosen = []
+    for j in range(len(caps)):
+        if all((i, j) not in bad for i in chosen):
+            chosen.append(j)
+    return ModelFamily([caps[j] for j in chosen])
 
 
 def test_del_pezzo_line_counts():
