@@ -3,6 +3,8 @@ packing bounds, and kissing-configuration search."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .conditions import (
     CurveFamily,
     ModelFamily,
@@ -70,4 +72,9 @@ from .search import (
     greedy_max,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are bound as
+# attributes too, but are not part of ``from negcurve import *``
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

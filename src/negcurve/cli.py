@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -175,7 +176,7 @@ def _embed_records(fam: CurveFamily):
             "class": list(cls),
             "region": point.region.value,
             "coords": [float(x) for x in point.coords],
-            "norm": int(fam.lattice.norm(cls)),
+            "norm": fam.lattice.norm(cls),
             "in_cylinder": point.region is Region.CYLINDER,
         }
         if point.region is Region.CYLINDER:
@@ -274,13 +275,7 @@ def cmd_search(args) -> int:
         raise InputError(str(exc)) from exc
     result = greedy_max(params)
     outputs = result.to_json_dict()
-    outputs["params"] = {
-        "n": params.n,
-        "seed": params.seed,
-        "restarts": params.restarts,
-        "candidate_grid": params.candidate_grid,
-        "random_candidates": params.random_candidates,
-    }
+    outputs["params"] = asdict(params)
     _emit(
         _report("search", outputs["params"], outputs, seed=params.seed),
         args.json,

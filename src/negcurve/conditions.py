@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateCapPairError, NumericalError
 from .klein import CapRep
-from .lorentz import QuadraticLattice
+from .lorentz import QuadraticLattice, _as_ints
 
 #: symmetric guard band for all non-strict model-level inequalities
 TOL_BOUNDARY = 1e-9
@@ -124,13 +124,6 @@ def max_norm_on_ray(theta_j: float, delta: float) -> RayMax:
 # families and validation reports
 # ---------------------------------------------------------------------------
 
-def _as_class_tuple(cls) -> tuple[int, ...]:
-    out = tuple(int(c) for c in cls)
-    if not any(out):
-        raise ValueError("family classes must be nonzero")
-    return out
-
-
 @dataclass(frozen=True)
 class CurveFamily:
     """Integer classes on a common lattice."""
@@ -141,12 +134,10 @@ class CurveFamily:
 
     def __init__(self, lattice, classes, labels=None):
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(
-            self, "classes", tuple(_as_class_tuple(c) for c in classes)
-        )
-        for c in self.classes:
-            if len(c) != lattice.rank:
-                raise ValueError("class length must equal the lattice rank")
+        classes = tuple(_as_ints(c, lattice.rank) for c in classes)
+        if not all(map(any, classes)):
+            raise ValueError("family classes must be nonzero")
+        object.__setattr__(self, "classes", classes)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != len(self.classes):

@@ -133,17 +133,23 @@ def signature(gram) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def _as_int_rows(gram) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for row in gram:
-        out = []
-        for x in row:
+def _as_ints(entries, rank: int | None = None) -> tuple[int, ...]:
+    """``entries`` as exact Python integers, the one integer rule of the
+    exact path: a non-integral entry raises ``ValueError`` and is never
+    truncated (numpy integers, 2.0 and Fraction(4, 2) are integers).
+    With ``rank``, a class of another length raises too."""
+    out = []
+    for x in entries:
+        try:
             xi = int(x)
-            if xi != x:
-                raise ValueError("Gram matrix entries must be integers")
-            out.append(xi)
-        rows.append(tuple(out))
-    return tuple(rows)
+        except (ValueError, OverflowError):  # nan, inf
+            xi = None
+        if xi is None or xi != x:
+            raise ValueError(f"entries must be integers, got {x!r}")
+        out.append(xi)
+    if rank is not None and len(out) != rank:
+        raise ValueError("class length must equal the lattice rank")
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,7 @@ class QuadraticLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram):
-        object.__setattr__(self, "gram", _as_int_rows(gram))
+        object.__setattr__(self, "gram", tuple(_as_ints(row) for row in gram))
         inertia = signature(self.gram)
         if inertia != (1, self.rank - 1, 0):
             raise SignatureError(inertia)
@@ -177,16 +183,14 @@ class QuadraticLattice:
             ) from exc
 
     def pairing(self, c1: Sequence[int], c2: Sequence[int]) -> int:
-        """Exact intersection pairing c1^T G c2 in Python integers."""
-        if len(c1) != self.rank or len(c2) != self.rank:
-            raise ValueError("class length must equal the lattice rank")
-        total = 0
-        for i, row in enumerate(self.gram):
-            ci = int(c1[i])
-            if ci == 0:
-                continue
-            total += ci * sum(g * int(c2[j]) for j, g in enumerate(row) if c2[j])
-        return total
+        """Exact intersection pairing c1^T G c2 in Python integers; a
+        non-integral entry raises ``ValueError``."""
+        a, b = _as_ints(c1, self.rank), _as_ints(c2, self.rank)
+        return sum(
+            ai * sum(g * bj for g, bj in zip(row, b) if bj)
+            for ai, row in zip(a, self.gram)
+            if ai
+        )
 
     def norm(self, c: Sequence[int]) -> int:
         return self.pairing(c, c)

@@ -325,8 +325,6 @@ def cap_fraction(n: int, alpha: float) -> float:
     if n == 1:
         # S^0 is two points; a cap of radius < pi is a single point
         return 0.5 if alpha < math.pi else 1.0
-    if n == 2:
-        return alpha / math.pi
     with mpmath.workdps(30):
         # sin^2 is symmetric about pi/2; a cap past it is the complement
         half = _half_betainc(n, mpmath.sin(mpmath.mpf(alpha)) ** 2)
@@ -372,10 +370,7 @@ def far_bound(n: int) -> int:
     # the reciprocal grows like (8/sqrt(15))^n: about 0.32 n integer digits
     with mpmath.workdps(n // 2 + FAR_GUARD_DIGITS):
         cos = mpmath.mpf(FAR_COS.numerator) / FAR_COS.denominator
-        if n == 2:
-            recip = mpmath.pi / mpmath.acos(cos)
-        else:
-            recip = 1 / _half_betainc(n, 1 - cos * cos)
+        recip = 1 / _half_betainc(n, 1 - cos * cos)
         ceiling = int(mpmath.ceil(recip))
         gap = min(ceiling - recip, recip - ceiling + 1)
         if gap < mpmath.mpf(10) ** -(FAR_GUARD_DIGITS // 2):

@@ -138,6 +138,18 @@ class SearchResult:
         }
 
 
+def _certified_result(caps: list[CapRep], method: str, t0: float) -> SearchResult:
+    """The result of a search that found ``caps``, with their certificate;
+    ``elapsed`` counts from ``t0`` through the certification."""
+    family = ModelFamily(caps)
+    return SearchResult(
+        best=Configuration(caps=family, certificate=certify(family)),
+        size=len(caps),
+        method=method,
+        elapsed=time.perf_counter() - t0,
+    )
+
+
 def compatible(c1: CapRep, c2: CapRep) -> bool:
     """Pairwise compatibility: conditions (ii) and (iii) both hold within
     TOL_BOUNDARY.
@@ -352,20 +364,11 @@ def greedy_max(params: SearchParams) -> SearchResult:
         picked = [caps[i] for i in _greedy_clique(adj, _greedy_order(caps))]
         outcomes.append((len(picked), _config_key(picked), picked))
     size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
-
-    family = ModelFamily(best_caps)
-    cert = certify(family)
-    result = SearchResult(
-        best=Configuration(caps=family, certificate=cert),
-        size=size,
-        method="greedy",
-        elapsed=time.perf_counter() - t0,
-    )
-    if result.size > limit:
+    if size > limit:
         raise NumericalError(
-            f"search produced {result.size} caps, above the counting bound {limit}"
+            f"search produced {size} caps, above the counting bound {limit}"
         )
-    return result
+    return _certified_result(best_caps, "greedy", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +445,4 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
         )
     t0 = time.perf_counter()
     chosen = sorted(_max_clique_bitset(_compatibility_matrix(candidates)))
-    family = ModelFamily([candidates[i] for i in chosen])
-    cert = certify(family)
-    return SearchResult(
-        best=Configuration(caps=family, certificate=cert),
-        size=len(chosen),
-        method="exact",
-        elapsed=time.perf_counter() - t0,
-    )
+    return _certified_result([candidates[i] for i in chosen], "exact", t0)

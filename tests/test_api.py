@@ -38,14 +38,16 @@ PUBLIC = {
     "partition", "point_of", "project", "reduce_ii_star", "sign_class",
     "signature", "standardize", "to_ball_system", "total_bound",
     "validate_family", "verify_cone_separation",
-    # submodules, which the package import binds as attributes
-    "conditions", "errors", "klein", "lorentz", "packing", "search",
 }
 
 
 def test_public_names_are_pinned():
     assert set(negcurve.__all__) == PUBLIC
     assert len(negcurve.__all__) == len(PUBLIC)
+    # a star import binds the public names and no submodule
+    namespace = {}
+    exec("from negcurve import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
 
 
 def defaulted(name, fn):

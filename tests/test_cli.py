@@ -385,6 +385,28 @@ def test_probe_stdout_golden(capsys):
     )
 
 
+#: sha256 of ``search`` stdout, recorded before the search results and
+#: the echoed parameters were built in one place each
+SEARCH_GOLDENS = {
+    "--n 3 --seed 1001 --restarts 2":
+        "4356152a4e4a7aaf5231bc31942063474c6727620adad7fa12ce1223be04d228",
+    "--n 2 --seed 5 --restarts 2":
+        "edd1fca7925745a8d2820e10b1ff73d4aa02b1f23c54f3a4ca449df76d68ad3d",
+    "--n 4 --seed 7 --restarts 1":
+        "e6d67d53edb89a13bbc24e7d801a53a1b86c4b575bd3660ca0e252820003fd84",
+    "--n 3 --seed 20 --restarts 1 --grid 0.3":
+        "9269f100afdbb4ce0890c2680918ebbd76c67e6181e7145c8387b4ab5b82894e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEARCH_GOLDENS))
+def test_search_stdout_golden(capsys, argv):
+    code = main(["search", *argv.split()])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_GOLDENS[argv]
+
+
 # Documents that are not well-formed input, as raw file text, and the
 # start of the one error line each must give, with exit 2, under every
 # command that reads a document.

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from negcurve.conditions import CurveFamily, validate_family
 from negcurve.errors import NumericalError, SignatureError
 from negcurve.lorentz import (
     QuadraticLattice,
@@ -216,3 +218,55 @@ def test_pairing_exact_values():
     assert lat.norm((1, -1, -1)) == -1
     big = QuadraticLattice([[0, 1], [1, 0]])
     assert big.pairing((10**12, 1), (1, 10**12)) == 10**24 + 1
+
+
+DIAG3 = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, np.float64(1.9), Fraction(3, 2), float("nan"), float("inf")],
+    ids=["float", "numpy-float", "fraction", "nan", "inf"],
+)
+def test_exact_path_rejects_non_integral_entries(bad):
+    # the exact path refuses a non-integral entry; it never truncates it
+    lat = QuadraticLattice(DIAG3)
+    with pytest.raises(ValueError, match="must be integers"):
+        CurveFamily(lat, [[0, bad, 0]])
+    with pytest.raises(ValueError, match="must be integers"):
+        lat.pairing((0, bad, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="must be integers"):
+        lat.pairing((0, 1, 0), (0, bad, 0))
+    with pytest.raises(ValueError, match="must be integers"):
+        lat.norm(np.array([0.0, bad, 0.0]))
+    with pytest.raises(ValueError, match="must be integers"):
+        QuadraticLattice([[1, 0, 0], [0, -1, 0], [0, 0, -bad]])
+
+
+@pytest.mark.parametrize(
+    "two",
+    [2, np.int64(2), np.int32(2), np.uint8(2), 2.0, np.float64(2.0), Fraction(4, 2)],
+    ids=["int", "int64", "int32", "uint8", "float", "numpy-float", "fraction"],
+)
+def test_exact_path_accepts_integral_entries(two):
+    lat = QuadraticLattice(DIAG3)
+    fam = CurveFamily(lat, [[0, two, 0], np.array([1, two, 1], dtype=object)])
+    assert fam.classes == ((0, 2, 0), (1, 2, 1))
+    assert all(type(x) is int for c in fam.classes for x in c)
+    assert validate_family(fam).checked == {"I": 2, "II": 1, "III": 1}
+    pair = lat.pairing((0, two, 0), (1, two, 1))
+    norm = lat.norm(np.array([0, two, 0], dtype=object))
+    assert (pair, norm) == (-4, -4)
+    assert type(pair) is int and type(norm) is int
+    gram = QuadraticLattice([[two, 1], [1, 0]]).gram
+    assert gram == ((2, 1), (1, 0)) and type(gram[0][0]) is int
+
+
+def test_exact_path_checks_class_length():
+    lat = QuadraticLattice(DIAG3)
+    for call in (
+        lambda: CurveFamily(lat, [[0, 1]]),
+        lambda: lat.pairing((0, 1), (0, 1, 0)),
+        lambda: lat.norm((0, 1, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="class length must equal the lattice rank"):
+            call()

@@ -405,6 +405,9 @@ def test_cap_fraction_closed_forms():
         (alpha - math.sin(alpha) * math.cos(alpha)) / math.pi, rel=1e-10
     )
     assert cap_fraction(1, 1.0) == 0.5
+    # n = 2 takes the incomplete beta too: I_x(1/2, 1/2) / 2 = arcsin(sqrt(x)) / pi
+    for alpha in np.random.default_rng(12).uniform(1e-9, math.pi, 400).tolist():
+        assert cap_fraction(2, alpha) == pytest.approx(alpha / math.pi, abs=1e-15)
 
 
 def test_far_bound_small_dimensions():
@@ -468,7 +471,7 @@ def test_far_cap_measure_is_exact():
 
 
 def test_cap_fraction_complement_past_right_angle():
-    for n in (3, 4, 7, 10):
+    for n in (2, 3, 4, 7, 10):
         for alpha in (0.3, 1.2, math.pi / 2):
             total = cap_fraction(n, alpha) + cap_fraction(n, math.pi - alpha)
             assert total == pytest.approx(1.0, abs=1e-14)
