@@ -63,32 +63,48 @@ def pair_margins(Z, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Z = np.asarray(Z, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    delta = np.arccos(np.clip(Z @ Z.T, -1.0, 1.0))
-    cos_t = np.cos(theta)
+    return _block_margins(Z, theta, Z, theta)
+
+
+def _block_margins(Z1, theta1, Z2, theta2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_margins` of each cap (Z1[i], theta1[i]) against each cap
+    (Z2[j], theta2[j]), as three (k1, k2) float arrays.  Passing the same
+    array as ``Z1`` and ``Z2`` keeps numpy's symmetric ``Z @ Z.T``
+    product."""
+    delta = np.arccos((Z1 @ Z2.T).clip(-1.0, 1.0))
     # the negated value cos(delta) - cos cos, so that a zero keeps its sign
-    m_ii = -(np.cos(delta) - np.multiply.outer(cos_t, cos_t))
-    m_iii = np.add.outer(theta, theta) - delta
+    m_ii = -(np.cos(delta) - np.cos(theta1)[:, None] * np.cos(theta2))
+    m_iii = theta1[:, None] + theta2 - delta
     return delta, m_ii, m_iii
 
 
 def cap_arrays(caps: Sequence[CapRep]) -> tuple[np.ndarray, np.ndarray]:
-    """The feet and radii of ``caps`` as the arrays :func:`pair_margins` takes."""
-    n = caps[0].n if caps else 0
+    """The feet and radii of ``caps`` as the arrays :func:`pair_margins` takes.
+
+    Raises ValueError when the caps do not all have the same dimension.
+    """
+    dims = {cap.n for cap in caps}
+    if len(dims) > 1:
+        raise ValueError(f"caps of mixed dimension {sorted(dims)}")
+    n = dims.pop() if dims else 0
     return (
         np.array([cap.z for cap in caps], dtype=float).reshape(len(caps), n),
         np.array([cap.theta for cap in caps], dtype=float),
     )
 
 
-def coincident_feet(Z) -> np.ndarray:
+def coincident_feet(Z, Z2=None) -> np.ndarray:
     """(k, k) mask of the pairs of rows of ``Z`` that are the same foot,
     compared exactly (arccos of the dot product cannot tell feet closer
-    than ~1.5e-8 apart from equal ones); the diagonal is true."""
+    than ~1.5e-8 apart from equal ones); the diagonal is true.  With
+    ``Z2``, the (k, k2) mask of each row of ``Z`` against each row of
+    ``Z2``."""
     Z = np.asarray(Z, dtype=float)
-    same = np.ones((len(Z), len(Z)), dtype=bool)
+    Z2 = Z if Z2 is None else np.asarray(Z2, dtype=float)
+    same = np.ones((len(Z), len(Z2)), dtype=bool)
     # column by column: a (k, k, n) comparison reduced over n is ~5x slower
-    for col in Z.T:
-        same &= np.equal.outer(col, col)
+    for col, col2 in zip(Z.T, Z2.T):
+        same &= col[:, None] == col2
     return same
 
 

@@ -29,9 +29,9 @@ from .conditions import (
     TOL_BOUNDARY,
     ModelFamily,
     PairVerdict,
+    _block_margins,
     cap_arrays,
     coincident_feet,
-    pair_margins,
 )
 from .errors import NumericalError
 from .klein import CapRep
@@ -52,8 +52,7 @@ RIGHT_ANGLE = math.pi / 2
 #: largest candidate set :func:`exact_max` accepts
 MAX_CLIQUE_CUTOFF = 256
 
-#: most grid directions a :class:`SearchParams` may ask for; each restart
-#: builds the compatibility matrix over all of them
+#: most grid directions a :class:`SearchParams` may ask for
 MAX_GRID_DIRECTIONS = 4096
 
 
@@ -158,18 +157,29 @@ def compatible(c1: CapRep, c2: CapRep) -> bool:
     reject them as degenerate, but a total relation is needed to build
     the compatibility graph).
     """
-    return bool(_compatibility_matrix([c1, c2])[0, 1])
+    z, theta = cap_arrays([c1, c2])
+    return bool(_compatible(z[:1], theta[:1], z[1:], theta[1:])[0, 0])
+
+
+def _compatible(z1, t1, z2, t2) -> np.ndarray:
+    """The (k1, k2) boolean matrix of :func:`compatible` verdicts of each
+    cap (z1[i], t1[i]) against each cap (z2[j], t2[j])."""
+    _, m_ii, m_iii = _block_margins(z1, t1, z2, t2)
+    return ~coincident_feet(z1, z2) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
+
+
+def _symmetrized(ok: np.ndarray) -> np.ndarray:
+    """The symmetric matrix in which the verdict of the pair i < j in
+    ``ok`` decides both entries; the diagonal is false."""
+    ok = np.triu(ok, 1)
+    return ok | ok.T
 
 
 def _compatibility_matrix(caps: list[CapRep]) -> np.ndarray:
     """:func:`compatible` over all pairs, as a symmetric (k, k) boolean
     matrix with a false diagonal."""
     z, theta = cap_arrays(caps)
-    _, m_ii, m_iii = pair_margins(z, theta)
-    ok = ~coincident_feet(z) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
-    # the verdict of the pair i < j decides both entries
-    ok = np.triu(ok, 1)
-    return ok | ok.T
+    return _symmetrized(_compatible(z, theta, z, theta))
 
 
 def certify(caps: ModelFamily) -> Certificate:
@@ -186,6 +196,7 @@ def certify(caps: ModelFamily) -> Certificate:
         )
     entries: list[PairVerdict] = []
     with mpmath.workdps(CERTIFY_DPS):
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
         zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
         thetas = [
             mpmath.pi / 2 if cap.theta == RIGHT_ANGLE else mpmath.mpf(cap.theta)
@@ -195,15 +206,14 @@ def certify(caps: ModelFamily) -> Certificate:
         for i in range(k):
             for j in range(i + 1, k):
                 dot = mpmath.fsum(a * b for a, b in zip(zs[i], zs[j]))
-                dot = max(mpmath.mpf(-1), min(mpmath.mpf(1), dot))
+                dot = max(lo, min(hi, dot))
                 delta = mpmath.acos(dot)
                 m_ii = cos_t[i] * cos_t[j] - mpmath.cos(delta)
                 m_iii = thetas[i] + thetas[j] - delta
                 entries.append(PairVerdict((i, j), "ii", float(m_ii)))
                 entries.append(PairVerdict((i, j), "iii", float(m_iii)))
-    violations = tuple(
-        e for e in entries if e.margin < float(CERTIFY_FLOOR)
-    )
+    floor = float(CERTIFY_FLOOR)
+    violations = tuple(e for e in entries if e.margin < floor)
     worst = min(entries, key=lambda e: e.margin)
     return Certificate(
         valid=not violations,
@@ -357,10 +367,20 @@ def greedy_max(params: SearchParams) -> SearchResult:
     limit = total_bound(params.n).total
     t0 = time.perf_counter()
     stratum = _stratum(params)
+    k0 = len(stratum)
+    z0, theta0 = cap_arrays(stratum)
+    # the stratum block is the same in every restart
+    fixed = _compatible(z0, theta0, z0, theta0)
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
         caps = stratum + _random_caps(params, np.random.default_rng(seq))
-        adj = _compatibility_matrix(caps)
+        z, theta = cap_arrays(caps)
+        # the upper triangle of the whole matrix: the stratum block and
+        # the columns of the random caps
+        ok = np.zeros((len(caps), len(caps)), dtype=bool)
+        ok[:k0, :k0] = fixed
+        ok[:, k0:] = _compatible(z, theta, z[k0:], theta[k0:])
+        adj = _symmetrized(ok)
         picked = [caps[i] for i in _greedy_clique(adj, _greedy_order(caps))]
         outcomes.append((len(picked), _config_key(picked), picked))
     size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
@@ -375,7 +395,7 @@ def greedy_max(params: SearchParams) -> SearchResult:
 # exact maximum clique
 # ---------------------------------------------------------------------------
 
-def _max_clique_bitset(adj: np.ndarray) -> list[int]:
+def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
     """A maximum clique of the graph with the symmetric boolean adjacency
     matrix ``adj`` (false diagonal), as a list of vertex indices.
 
@@ -385,23 +405,39 @@ def _max_clique_bitset(adj: np.ndarray) -> list[int]:
     greedily and branches, highest color first, only on those whose color
     can still beat the incumbent.  Rows are Python-int bitsets, since numpy
     shifts overflow past bit 63.
+
+    ``known`` is a clique the caller already has (ValueError if it is
+    not).  Subtrees that cannot beat ``len(known) - 1`` are pruned too.
+    The coloring and the branch order do not depend on that floor, and
+    the first clique of maximum size in branch order is never pruned, so
+    the engine returns the same clique with or without ``known``.
     """
     k = len(adj)
+    known = np.asarray(known, dtype=int)
+    if (
+        ((known < 0) | (known >= k)).any()
+        or not (adj[np.ix_(known, known)] | np.eye(len(known), dtype=bool)).all()
+    ):
+        raise ValueError(f"known vertices {known.tolist()} are not a clique")
     # renumber by non-increasing degree, ties by index: vertex i of the
     # renumbered graph is vertex order[i]
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     adj = adj[np.ix_(order, order)]
     best = _greedy_clique(adj, range(k))
+    # the size a subtree must beat: the incumbent's, or len(known) - 1 and
+    # not len(known), so that when the hint is already maximum the search
+    # still reaches its own first maximum clique
+    lim = max(len(best), len(known) - 1)
     adj = [
         int.from_bytes(row.tobytes(), "little")
         for row in np.packbits(adj, axis=1, bitorder="little")
     ]
 
     def expand(r: list[int], p: int):
-        nonlocal best
-        # a vertex of color <= floor cannot lift r past the incumbent: it
-        # is colored, stays in p for the subtrees, but is never branched on
-        floor = len(best) - len(r)
+        nonlocal best, lim
+        # a vertex of color <= floor cannot lift r past lim: it is colored,
+        # stays in p for the subtrees, but is never branched on
+        floor = lim - len(r)
         branch = []
         color = 0
         uncolored = p
@@ -416,7 +452,7 @@ def _max_clique_bitset(adj: np.ndarray) -> list[int]:
                 if color > floor:
                     branch.append((low, v, color))
         for low, v, bound in reversed(branch):
-            if len(r) + bound <= len(best):
+            if len(r) + bound <= lim:
                 return
             r.append(v)
             sub = p & adj[v]
@@ -424,6 +460,7 @@ def _max_clique_bitset(adj: np.ndarray) -> list[int]:
                 expand(r, sub)
             elif len(r) > len(best):
                 best = list(r)
+                lim = max(lim, len(r))
             r.pop()
             p ^= low
 
@@ -436,7 +473,9 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
 
     Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
     :func:`greedy_max` there).  The candidates alone decide the result;
-    ``params`` is not read.
+    ``params`` is not read.  The greedy clique in :func:`greedy_max`'s
+    order seeds the engine's pruning floor; it does not change which
+    clique comes back.
     """
     if len(candidates) > MAX_CLIQUE_CUTOFF:
         raise ValueError(
@@ -444,5 +483,7 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
             f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
         )
     t0 = time.perf_counter()
-    chosen = sorted(_max_clique_bitset(_compatibility_matrix(candidates)))
+    adj = _compatibility_matrix(candidates)
+    known = _greedy_clique(adj, _greedy_order(candidates))
+    chosen = sorted(_max_clique_bitset(adj, known))
     return _certified_result([candidates[i] for i in chosen], "exact", t0)

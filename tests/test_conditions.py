@@ -557,6 +557,16 @@ def test_validate_empty_family_rejected():
         validate_family(ModelFamily([]))
 
 
+def test_validate_mixed_dimensions_rejected():
+    caps = [CapRep(z=(1.0, 0.0), theta=0.5), CapRep(z=(0.0, 1.0, 0.0), theta=0.5)]
+    with pytest.raises(ValueError, match=r"caps of mixed dimension \[2, 3\]"):
+        validate_family(ModelFamily(caps))
+    with pytest.raises(ValueError, match=r"caps of mixed dimension \[2, 3\]"):
+        cap_arrays(caps[::-1])
+    z, theta = cap_arrays([])
+    assert z.shape == (0, 0) and theta.shape == (0,)
+
+
 def test_validate_lattice_pair_counts():
     report = validate_family(CurveFamily(BL3, [(0, 1, 0, 0), (0, 0, 1, 0)]))
     assert report.overall

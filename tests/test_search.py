@@ -278,6 +278,44 @@ def test_max_clique_bitset_past_bit_63():
     assert sorted(_max_clique_bitset(as_matrix(masks))) == list(range(64, 70))
 
 
+def test_compatible_agrees_with_the_matrix_on_a_bench_style_set():
+    # the one-pair block and the whole matrix decide every pair alike
+    caps = candidate_caps(
+        SearchParams(n=3, candidate_grid=0.3, random_candidates=64),
+        np.random.default_rng(101),
+    )[:256:2]
+    adj = _compatibility_matrix(caps)
+    for i, j in itertools.combinations(range(len(caps)), 2):
+        assert compatible(caps[i], caps[j]) == adj[i, j]
+
+
+@pytest.mark.parametrize("n, grid, count", [
+    (2, math.pi / 12, 0), (2, 0.3, 1), (3, math.pi / 12, 64), (3, 0.3, 0),
+    (3, math.pi / 10, 1), (5, math.pi / 12, 64), (8, 0.3, 240),
+])
+def test_greedy_max_assembles_the_whole_compatibility_matrix(monkeypatch, n, grid, count):
+    # each restart joins the stratum block, built once, to the random
+    # caps' columns; the result must be the matrix of the whole list
+    seen = []
+    monkeypatch.setattr(search, "_greedy_order", lambda caps: seen.append(caps) or _greedy_order(caps))
+
+    def clique(adj, order):
+        assert adj.dtype == bool and np.array_equal(adj, _compatibility_matrix(seen[-1]))
+        return _greedy_clique(adj, order)
+
+    monkeypatch.setattr(search, "_greedy_clique", clique)
+    greedy_max(SearchParams(n=n, seed=n + count, restarts=3, candidate_grid=grid, random_candidates=count))
+    assert len(seen) == 3
+
+
+def test_mixed_dimensions_are_refused_plainly():
+    caps = [circle_cap(0.0), CapRep(z=(0.0, 1.0, 0.0), theta=HALF)]
+    with pytest.raises(ValueError, match=r"caps of mixed dimension \[2, 3\]"):
+        exact_max(SearchParams(n=2), caps)
+    with pytest.raises(ValueError, match="caps of mixed dimension"):
+        compatible(*caps)
+
+
 def test_compatibility_excludes_coincident_feet():
     caps = [circle_cap(0.0), circle_cap(HALF), CapRep(z=(1.0, 0.0), theta=0.3)]
     adj = _compatibility_matrix(caps)
@@ -435,6 +473,94 @@ def test_max_clique_bitset_maps_back_from_degree_order():
         assert sorted(_max_clique_bitset(as_matrix(relabeled))) == sorted(int(perm[v]) for v in range(16, 20))
 
 
+def iter_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def maximum_cliques(masks):
+    """Independent oracle: every maximum clique, as sorted vertex lists,
+    by Bron-Kerbosch with a pivot."""
+    found = []
+
+    def extend(r, p, x):
+        if not p and not x:
+            found.append(sorted(r))
+            return
+        pivot = max(iter_bits(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in iter_bits(p & ~masks[pivot]):
+            extend(r + [v], p & masks[v], x & masks[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    extend([], (1 << len(masks)) - 1, 0)
+    omega = max(len(c) for c in found)
+    return [c for c in found if len(c) == omega]
+
+
+def planted_graph(rng):
+    """A sparse random graph with a few planted cliques of one size, so
+    that most graphs have several maximum cliques."""
+    k = int(rng.integers(12, 41))
+    adj = np.triu(rng.random((k, k)) < rng.uniform(0.2, 0.6), 1)
+    size = int(rng.integers(3, 8))
+    for _ in range(int(rng.integers(2, 5))):
+        vs = rng.choice(k, size=min(size, k), replace=False)
+        adj[np.ix_(vs, vs)] = True
+    adj = np.triu(adj, 1)
+    return adj | adj.T
+
+
+def test_known_clique_does_not_change_the_result_on_random_graphs():
+    # the digest of the plain results was recorded before the engine took
+    # a known clique
+    rng = np.random.default_rng(2024)
+    plain, several = [], 0
+    for _ in range(240):
+        adj = planted_graph(rng)
+        masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
+        ref = _max_clique_bitset(adj)
+        plain.append(ref)
+        maxima = maximum_cliques(masks)
+        assert sorted(ref) in maxima
+        several += len(maxima) > 1
+        # prefixes of the returned clique and of another maximum clique,
+        # in both orders, of every size from 0 to omega
+        for clique in (ref, maxima[0], maxima[-1][::-1]):
+            for size in range(len(clique) + 1):
+                assert _max_clique_bitset(adj, clique[:size]) == ref
+    assert several >= 120
+    assert sha(plain) == "4cd025c013c57423cf12c1df7674717cff21d8f6f45dd4a182be857845600a90"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_known_clique_does_not_change_the_result_on_candidate_sets(seed):
+    rng = np.random.default_rng(seed)
+    cand3 = candidate_caps(
+        SearchParams(n=3, candidate_grid=0.3, random_candidates=64), rng
+    )[:256]
+    cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
+    lines = [cap_of(project(c)) for c in del_pezzo_lines(4 + seed)]
+    for caps in (cand3, cand8, lines):
+        adj = _compatibility_matrix(caps)
+        ref = _max_clique_bitset(adj)
+        greedy = _greedy_clique(adj, _greedy_order(caps))
+        for clique in (greedy, ref[::-1]):
+            for size in range(len(clique) + 1):
+                assert _max_clique_bitset(adj, clique[:size]) == ref
+
+
+def test_known_must_be_a_clique():
+    masks = [0b0110, 0b0101, 0b0011, 0b0000]  # a triangle on 0..2 and vertex 3
+    adj = as_matrix(masks)
+    assert sorted(_max_clique_bitset(adj, [2, 0, 1])) == [0, 1, 2]
+    for known in ([0, 3], [1, 1], [4], [-1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="not a clique"):
+            _max_clique_bitset(adj, known)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_max_clique_bitset_matches_color_order_oracle_on_candidate_sets(seed):
     rng = np.random.default_rng(seed)
@@ -524,6 +650,20 @@ def test_candidate_caps_golden(n, grid, count, seed, digest):
 ])
 def test_greedy_max_golden(n, grid, seed, restarts, digest):
     params = SearchParams(n=n, seed=seed, restarts=restarts, candidate_grid=grid)
+    assert sha(greedy_max(params).to_json_dict()) == digest
+
+
+@pytest.mark.parametrize("n, count, seed, digest", [
+    (2, 0, 31, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
+    (2, 1, 32, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
+    (3, 0, 33, "d44725fb8e07d2c84e9a09a31f58540c6cd6dba2906bcd17e742c62f8d011560"),
+    (3, 1, 34, "d44725fb8e07d2c84e9a09a31f58540c6cd6dba2906bcd17e742c62f8d011560"),
+    (5, 0, 35, "e4c3aac1a84feb52b8907f0f2381de1b76540bbb23d8e8a9ab3425862460cdfd"),
+    (5, 1, 36, "e4c3aac1a84feb52b8907f0f2381de1b76540bbb23d8e8a9ab3425862460cdfd"),
+])
+def test_greedy_max_golden_with_few_random_candidates(n, count, seed, digest):
+    # recorded before the stratum block was built once per search
+    params = SearchParams(n=n, seed=seed, restarts=1, random_candidates=count)
     assert sha(greedy_max(params).to_json_dict()) == digest
 
 
