@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -83,10 +82,12 @@ def _int_matrix(raw, what: str) -> list[list[int]]:
 
 def load_document(path: str | Path) -> CurveFamily:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, bad syntax and an integer past Python's
+        # digit limit raise ValueError; deep nesting raises RecursionError
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("document root must be an object")
@@ -228,8 +229,6 @@ def cmd_bound(args) -> int:
     outputs = {}
     inputs: dict = {}
     if args.n is not None:
-        if args.n < 1:
-            raise InputError("--n must be >= 1")
         outputs["bound"] = total_bound(args.n).to_json_dict()
         inputs["n"] = args.n
     if args.file is not None:
@@ -263,16 +262,13 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _given(args, *names) -> dict:
+    """The parsed values of the flags among ``names`` that were given."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def cmd_search(args) -> int:
-    try:
-        params = SearchParams(
-            n=args.n,
-            seed=args.seed,
-            restarts=args.restarts,
-            candidate_grid=args.grid,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    params = SearchParams(**_given(args, "n", "seed", "restarts", "candidate_grid"))
     result = greedy_max(params)
     outputs = result.to_json_dict()
     outputs["params"] = asdict(params)
@@ -284,41 +280,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    report = equivalence_probe(args.n, args.samples, seed=args.seed)
-    inputs = {"n": args.n, "samples": args.samples, "seed": args.seed}
-    _emit(_report("probe", inputs, report.to_json_dict(), seed=args.seed), args.json)
+    report = equivalence_probe(args.n, args.samples, **_given(args, "seed"))
+    inputs = {"n": report.n, "samples": report.samples, "seed": report.seed}
+    _emit(_report("probe", inputs, report.to_json_dict(), seed=report.seed), args.json)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low`` (argparse exits 2 otherwise)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float > 0 (argparse exits 2 otherwise)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -349,19 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_bound)
 
+    # a flag left out (default=SUPPRESS) is not passed on, so the library's
+    # default applies; the library also decides every range
     p = sub.add_parser("search", help="certified configuration search")
-    p.add_argument("--n", type=_int_at_least(2), required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=20240601)
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
-    p.add_argument("--grid", type=_positive_float, default=math.pi / 12,
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--grid", type=float, dest="candidate_grid", metavar="GRID",
+                   default=argparse.SUPPRESS,
                    help="angular grid resolution in radians")
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("probe", help="condition-system agreement probe")
-    p.add_argument("--n", type=_int_at_least(2), default=3)
-    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_probe)
 

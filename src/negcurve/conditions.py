@@ -39,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateCapPairError, NumericalError
+from .errors import DegenerateCapPairError, InputError, NumericalError
 from .klein import CapRep
 from .lorentz import QuadraticLattice, _as_ints
 
@@ -528,13 +528,19 @@ def equivalence_probe(
     projected points.  Both sides use scale-invariant margins so the
     boundary band is meaningful across samples.  The pairs are evaluated
     in fixed blocks of rows; the report does not depend on the block size.
+    Raises :class:`MemoryError` at once when a (samples, n + 1) array of
+    doubles is beyond what numpy can address.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError("samples must be >= 1")
     if n < 2:
-        raise ValueError("the probe needs n >= 2")
+        raise InputError("the probe needs n >= 2")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise InputError("seed must be >= 0")
+    if samples * (n + 1) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"a {samples} x {n + 1} array of doubles is beyond numpy's size limit"
+        )
     rng = np.random.default_rng(seed)
     v1, q1 = _sample_spacelike(rng, samples, n)
     v2, q2 = _sample_spacelike(rng, samples, n)

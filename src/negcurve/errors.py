@@ -38,7 +38,7 @@ class InvalidFamilyError(NegCurveError, ValueError):
 
 
 class InputError(NegCurveError, ValueError):
-    """Malformed input document (CLI exit code 2)."""
+    """Malformed input or an out-of-range parameter (CLI exit code 2)."""
 
 
 class NumericalError(NegCurveError, RuntimeError):

@@ -37,7 +37,7 @@ import mpmath
 import numpy as np
 
 from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
-from .errors import InvalidFamilyError, NumericalError
+from .errors import InputError, InvalidFamilyError, NumericalError
 from .klein import CapRep
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
@@ -293,15 +293,16 @@ def near_bound_volume(n: int) -> int:
     return 5**n
 
 
-def far_cone_angle() -> float:
-    """Full aperture 2*arctan(sqrt(15)/7) of the cone each far ball
-    excludes around its direction; half of it, arccos(7/8), is the
-    guaranteed pairwise angle between far centers seen from the pivot."""
-    return 2.0 * math.atan(math.sqrt(15.0) / 7.0)
-
-
 #: cos of the far half-aperture arccos(7/8), as an exact rational
 FAR_COS = Fraction(7, 8)
+
+
+def far_cone_angle() -> float:
+    """Full aperture 2*arccos(7/8) = 2*arctan(sqrt(15)/7) of the cone each
+    far ball excludes around its direction; half of it, arccos(7/8), is the
+    guaranteed pairwise angle between far centers seen from the pivot."""
+    return 2.0 * math.acos(FAR_COS)
+
 
 #: decimal digits kept beyond the integer part of the even-n reciprocal
 FAR_GUARD_DIGITS = 30
@@ -420,7 +421,10 @@ class BoundReport:
 
 def total_bound(n: int) -> BoundReport:
     """Total family-size bound 2 * (near + far) with the fitted envelope;
-    :class:`NumericalError` when the envelope overflows a double (n >= 566)."""
+    :class:`InputError` for n < 1, :class:`NumericalError` when the
+    envelope overflows a double (n >= 566)."""
+    if n < 1:  # first: the envelope overflows at a huge negative n too
+        raise InputError("n must be >= 1")
     u, v = fit_constants()
     try:
         envelope = u * v ** (n + 1)
@@ -505,22 +509,20 @@ def verify_cone_separation(
 
 
 def cone_separation_infimum() -> tuple[float, float, tuple[float, float]]:
-    """Minimize the far-pair angle over the constraint system by a grid scan.
+    """The smallest far-pair angle the constraint system allows, in closed
+    form: (min_angle, aperture, argmin (k, r)).
 
     Two far centers at distances k, r >= 2 from the pivot must keep their
     separation d above both k - 1 and r - 1 (each center stays outside
     the other's ball, whose radius exceeds its pivot distance minus the
-    pivot radius < 1).  Eliminating d caps cos(angle) by
-    min((k^2 + 2r - 1)/(2kr), (r^2 + 2k - 1)/(2kr)); the returned triple
-    is (min_angle, aperture, argmin (k, r)) over a 400 x 400 scan of
-    [2, 40]^2.  The grid holds the corner k = r = 2, where the bound is
-    exactly 7/8 and attains its supremum.
+    pivot radius < 1).  Eliminating d caps cos(angle) by min(f1, f2) with
+    f1 = (k^2 + 2r - 1)/(2kr) and f2 = (r^2 + 2k - 1)/(2kr).
+
+    The supremum of min(f1, f2) is 7/8, reached only at k = r = 2.  By
+    symmetry take 2 <= k <= r.  Then f1 - f2 = (k - r)(k + r - 2)/(2kr)
+    <= 0, so the minimum is f1.  f1 = (k^2 - 1)/(2kr) + 1/k falls in r,
+    so it is largest on r = k, where it is 1/2 + 1/k - 1/(2k^2), which
+    falls in k for k >= 1.  At k = r = 2 it is 7/8 = FAR_COS.
     """
-    ks = np.linspace(2.0, 40.0, 400)
-    kk, rr = np.meshgrid(ks, ks, indexing="ij")
-    f1 = (kk * kk + 2.0 * rr - 1.0) / (2.0 * kk * rr)
-    f2 = (rr * rr + 2.0 * kk - 1.0) / (2.0 * kk * rr)
-    cos_max = np.minimum(1.0, np.minimum(f1, f2))
-    idx = np.unravel_index(np.argmax(cos_max), cos_max.shape)
-    angle = math.acos(float(cos_max[idx]))
-    return angle, 2.0 * angle, (float(kk[idx]), float(rr[idx]))
+    angle = math.acos(FAR_COS)
+    return angle, 2.0 * angle, (2.0, 2.0)

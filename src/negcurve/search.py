@@ -33,7 +33,7 @@ from .conditions import (
     cap_arrays,
     coincident_feet,
 )
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .klein import CapRep
 from .packing import total_bound
 
@@ -68,17 +68,17 @@ class SearchParams:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("search requires n >= 2")
+            raise InputError("search requires n >= 2")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InputError("seed must be >= 0")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise InputError("restarts must be >= 1")
         if self.random_candidates < 0:
-            raise ValueError("random_candidates must be >= 0")
+            raise InputError("random_candidates must be >= 0")
         if not self.candidate_grid > 0:
-            raise ValueError("candidate_grid must be positive")
+            raise InputError("candidate_grid must be positive")
         if _grid_size(self.n, self.candidate_grid) > MAX_GRID_DIRECTIONS:
-            raise ValueError(
+            raise InputError(
                 f"candidate_grid {self.candidate_grid!r} is too fine at "
                 f"n={self.n}: it asks for more than {MAX_GRID_DIRECTIONS} "
                 "grid directions"

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from negcurve import conditions
+from negcurve import (
+    InputError,
+    SearchParams,
+    conditions,
+    equivalence_probe,
+    total_bound,
+)
 from negcurve.cli import main
 
 BL3_DOC = {
@@ -184,30 +191,49 @@ def test_probe_small(capsys):
     assert out["outputs"]["disagreements"]["II/ii"] == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["search", "--n", "1"],
-        ["search", "--n", "3", "--restarts", "0"],
-        ["search", "--n", "3", "--grid", "0"],
-        # 2*pi/grid overflows a double
-        ["search", "--n", "2", "--grid", "1e-320"],
-        # 196,566 grid directions, above MAX_GRID_DIRECTIONS
-        ["search", "--n", "3", "--grid", "0.01"],
-        ["search", "--n", "2", "--seed", "-1"],
-        ["probe", "--n", "1"],
-        ["probe", "--samples", "0"],
-        ["probe", "--samples", "10", "--seed", "-1"],
-    ],
-    ids=["search-n", "search-restarts", "search-grid", "search-grid-overflow",
-         "search-grid-too-fine", "search-seed", "probe-n", "probe-samples",
-         "probe-seed"],
-)
-def test_out_of_range_arguments_are_malformed_input(argv):
-    proc = run_cli(argv)
+# Out-of-range arguments, each with the library call that rejects the
+# same value: the command line only parses, so its one error line is the
+# library's message.
+OUT_OF_RANGE = {
+    "search-n": ("search --n 1", lambda: SearchParams(n=1)),
+    "search-restarts": ("search --n 3 --restarts 0", lambda: SearchParams(n=3, restarts=0)),
+    "search-grid": ("search --n 3 --grid 0", lambda: SearchParams(n=3, candidate_grid=0.0)),
+    "search-grid-nan": ("search --n 3 --grid nan", lambda: SearchParams(n=3, candidate_grid=math.nan)),
+    # 2*pi/grid overflows a double
+    "search-grid-overflow": (
+        "search --n 2 --grid 1e-320", lambda: SearchParams(n=2, candidate_grid=1e-320)
+    ),
+    # 196,566 grid directions, above MAX_GRID_DIRECTIONS
+    "search-grid-too-fine": (
+        "search --n 3 --grid 0.01", lambda: SearchParams(n=3, candidate_grid=0.01)
+    ),
+    "search-seed": ("search --n 2 --seed -1", lambda: SearchParams(n=2, seed=-1)),
+    "probe-n": ("probe --n 1", lambda: equivalence_probe(1, 100_000)),
+    "probe-samples": ("probe --samples 0", lambda: equivalence_probe(3, 0)),
+    "probe-seed": ("probe --samples 10 --seed -1", lambda: equivalence_probe(3, 10, seed=-1)),
+    "bound-n-zero": ("bound --n 0", lambda: total_bound(0)),
+    # checked before the envelope, which would overflow here
+    "bound-n-401-digits": (f"bound --n -{10**400}", lambda: total_bound(-(10**400))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_library_rejects_out_of_range_values_with_input_error(case):
+    _, library_call = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError) as raised:
+        library_call()
+    assert type(raised.value) is InputError
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_arguments_are_malformed_input(case):
+    argv, library_call = OUT_OF_RANGE[case]
+    with pytest.raises(InputError) as raised:
+        library_call()
+    proc = run_cli(argv.split())
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {raised.value}\n"
 
 
 def test_reports_byte_identical_across_processes(tmp_path):
@@ -296,6 +322,8 @@ HARD_DOCS = {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[0, 1, 0], [0, 0, 10**155]],
     },
+    # rank 1 gives n = 0, which has no counting bound
+    "rank-1": {"gram": [[1]], "curves": [[1]]},
 }
 
 
@@ -318,6 +346,7 @@ HARD_DOCS = {
         ("class-near-double-limit", "validate", 3, "numerical failure: class pairings exceed"),
         ("class-near-double-limit", "embed", 3, "numerical failure: class pairings exceed"),
         ("class-near-double-limit", "bound --file", 3, "numerical failure: vector entries exceed"),
+        ("rank-1", "bound --file", 2, "error: n must be >= 1"),
         ("valid-rank-3", "validate", 0, ""),
         # --n must agree with the document's rank - 1
         ("valid-rank-3", "bound --n 2 --file", 0, ""),
@@ -374,6 +403,23 @@ def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # numpy refuses these sizes outright rather than running out of memory
+        f"probe --samples {10**18}",
+        f"probe --samples {10**20}",
+        f"probe --n {10**20} --samples 1",
+    ],
+)
+def test_probe_beyond_array_size_limit_is_out_of_memory(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
+
+
 def test_probe_stdout_golden(capsys):
     # sha256 of the report as recorded before the probe moved to
     # coordinate columns and row blocks
@@ -407,11 +453,18 @@ def test_search_stdout_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_GOLDENS[argv]
 
 
-# Documents that are not well-formed input, as raw file text, and the
-# start of the one error line each must give, with exit 2, under every
-# command that reads a document.
+# Documents that are not well-formed input, as raw file text or bytes,
+# and a part of the one error line each must give, with exit 2, under
+# every command that reads a document ({path} is the document's path).
 MALFORMED_DOCS = {
-    "truncated-json": ('{"gram": [[1, 0], [0, -1]], "curves": [[0, 1]', "is not valid JSON"),
+    "truncated-json": ('{"gram": [[1, 0], [0, -1]], "curves": [[0, 1]', "{path} is not valid JSON"),
+    "not-utf8": (b"\xff\xfe", "{path} is not valid JSON: 'utf-8' codec can't decode"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, "{path} is not valid JSON: maximum recursion depth"),
+    # past Python's 4300-digit limit on int() of a string
+    "5000-digit-entry": (
+        '{"gram": [[1, 0], [0, -1]], "curves": [[0, ' + "1" * 5000 + "]]}",
+        "{path} is not valid JSON: Exceeds the limit (4300 digits)",
+    ),
     "list-root": ("[[1, 0], [0, -1]]", "document root must be an object"),
     "missing-curves": ('{"gram": [[1, 0], [0, -1]]}', "curves must be a nonempty array"),
     "empty-gram": ('{"gram": [], "curves": [[0, 1]]}', "gram must be a nonempty array"),
@@ -444,11 +497,14 @@ MALFORMED_DOCS = {
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, command):
     text, reason = MALFORMED_DOCS[doc]
     path = tmp_path / "family.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code = main([*command.split(), str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert reason in lines[0]
+    assert reason.format(path=path) in lines[0]

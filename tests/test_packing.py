@@ -552,21 +552,23 @@ def test_verify_cone_separation_needs_far_balls():
 
 def test_cone_separation_infimum_matches_analytic():
     angle, aperture, argmin = cone_separation_infimum()
-    assert angle == pytest.approx(math.acos(7.0 / 8.0), abs=1e-9)
-    assert aperture == pytest.approx(far_cone_angle(), abs=1e-9)
-    assert argmin[0] == pytest.approx(2.0, abs=1e-6)
-    assert argmin[1] == pytest.approx(2.0, abs=1e-6)
+    assert angle == math.acos(7.0 / 8.0)
+    assert aperture == far_cone_angle()
+    assert argmin == (2.0, 2.0)
 
 
 def test_cone_separation_infimum_independent_scan():
-    # independent high-precision scan of the constraint envelope
-    best = mpmath.mpf(0)
-    for k in [mpmath.mpf(2) + mpmath.mpf(i) / 50 for i in range(0, 400)]:
-        for r in (k,):  # the diagonal dominates; verified by the 2-d scan above
-            f1 = (k * k + 2 * r - 1) / (2 * k * r)
-            f2 = (r * r + 2 * k - 1) / (2 * k * r)
-            best = max(best, min(f1, f2))
-    assert float(best) == pytest.approx(7.0 / 8.0, abs=1e-12)
+    # a high-precision scan of the constraint envelope over [2, 40]^2
+    # finds the closed form's supremum 7/8 at its one maximizer k = r = 2
+    grid = [mpmath.mpf(2) + mpmath.mpf(i) / 2 for i in range(77)]
+    best, argmax = max(
+        (min((k * k + 2 * r - 1) / (2 * k * r), (r * r + 2 * k - 1) / (2 * k * r)), (k, r))
+        for k in grid
+        for r in grid
+    )
+    assert best == mpmath.mpf(7) / 8
+    assert argmax == (2, 2)
+    assert math.cos(cone_separation_infimum()[0]) == pytest.approx(7.0 / 8.0, abs=1e-15)
 
 
 def random_valid_family(rng, n, pool=24):
