@@ -45,7 +45,6 @@ from .packing import (
     Ball,
     BallSystem,
     BoundReport,
-    PartitionResult,
     ball_system_from_points,
     cap_fraction,
     far_bound,
@@ -54,12 +53,10 @@ from .packing import (
     hemisphere_filter,
     near_bound,
     near_bound_volume,
-    normalize_scale,
-    partition,
     reduce_ii_star,
+    split_system,
     to_ball_system,
     total_bound,
-    verify_cone_separation,
 )
 from .search import (
     Certificate,

@@ -42,14 +42,7 @@ from .errors import (
 )
 from .klein import Region, cap_of, figure_streams, project
 from .lorentz import QuadraticLattice, embed_class
-from .packing import (
-    hemisphere_filter,
-    normalize_scale,
-    partition,
-    to_ball_system,
-    total_bound,
-    verify_cone_separation,
-)
+from .packing import hemisphere_filter, split_system, to_ball_system, total_bound
 from .search import SearchParams, greedy_max
 
 SCHEMA = "negcurve/run-report/v1"
@@ -248,15 +241,7 @@ def cmd_bound(args) -> int:
         system = to_ball_system(fam)
         pipeline["balls"] = len(system)
         if len(system) >= 2:
-            system = normalize_scale(system)
-            pipeline["scale"] = system.scale
-            part = partition(system)
-            pipeline["near"] = list(part.near)
-            pipeline["far"] = list(part.far)
-            if len(part.far) >= 2:
-                pipeline["cone_separation"] = verify_cone_separation(
-                    system, part
-                ).to_json_dict()
+            pipeline.update(split_system(system).to_json_dict())
         outputs["pipeline"] = pipeline
     _emit(_report("bound", inputs, outputs), args.json)
     return EXIT_OK
@@ -280,7 +265,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    report = equivalence_probe(args.n, args.samples, **_given(args, "seed"))
+    report = equivalence_probe(**_given(args, "n", "samples", "seed"))
     inputs = {"n": report.n, "samples": report.samples, "seed": report.seed}
     _emit(_report("probe", inputs, report.to_json_dict(), seed=report.seed), args.json)
     return EXIT_OK
@@ -332,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("probe", help="condition-system agreement probe")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_probe)

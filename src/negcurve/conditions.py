@@ -517,8 +517,8 @@ def _probe_block(a, b, n1, n2):
 
 
 def equivalence_probe(
-    n: int,
-    samples: int,
+    n: int = 3,
+    samples: int = 100_000,
     seed: int = 0,
 ) -> ProbeReport:
     """Draw random space-like pairs and compare the two condition systems.

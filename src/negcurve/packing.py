@@ -43,10 +43,6 @@ from .klein import CapRep
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
 
-#: how far the minimum center distance of a system handed to
-#: :func:`partition` may be from 1
-NORMALIZED_TOL = 1e-9
-
 #: guard band of the cone-separation check on the far-pair aperture
 CONE_TOL = 1e-6
 
@@ -74,13 +70,12 @@ class BallSystem:
     Systems built from caps carry the spherical angular separations as
     distances (the transcription keeps theta and delta as plain Euclidean
     quantities), so the matrix, not the stored coordinates, defines the
-    geometry.  ``scale`` accumulates rescaling factors for bookkeeping.
+    geometry.
     """
 
     balls: tuple[Ball, ...]
     dist: np.ndarray
     n: int
-    scale: float = 1.0
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -88,12 +83,6 @@ class BallSystem:
     @property
     def radii(self) -> np.ndarray:
         return np.array([b.radius for b in self.balls])
-
-    def min_distance(self) -> float:
-        if len(self.balls) < 2:
-            raise ValueError("need at least two balls")
-        d = self.dist[np.triu_indices(len(self.balls), k=1)]
-        return float(np.min(d))
 
     def check_valid(self) -> list[tuple[int, int, str]]:
         """Violations of the system invariants, as (i, j, which) triples.
@@ -217,55 +206,6 @@ def to_ball_system(fam: ModelFamily) -> BallSystem:
             f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
         )
     return system
-
-
-def normalize_scale(sys: BallSystem) -> BallSystem:
-    """Rescale so the minimum center distance is exactly 1.
-
-    The system invariants are scale-invariant, so validity is preserved;
-    coincident centers are rejected.
-    """
-    dmin = sys.min_distance()
-    if dmin <= 0.0:
-        raise ValueError("coincident centers cannot be normalized")
-    f = 1.0 / dmin
-    balls = tuple(
-        Ball(center=tuple(f * c for c in b.center), radius=f * b.radius)
-        for b in sys.balls
-    )
-    return BallSystem(balls=balls, dist=sys.dist * f, n=sys.n, scale=sys.scale * f)
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Near/far split of a normalized system at distance 2 from the pivot."""
-
-    pivot: tuple[int, int]
-    near: tuple[int, ...]
-    far: tuple[int, ...]
-
-
-def partition(sys: BallSystem) -> PartitionResult:
-    """Split at center distance 2 from the first pivot ball's center.
-
-    The pivot pair realizes the minimum distance (ties broken by lowest
-    index pair); centers at distance exactly 2 go to the far side.
-    Requires a normalized system.
-    """
-    dmin = sys.min_distance()
-    if not abs(dmin - 1.0) <= NORMALIZED_TOL:
-        raise ValueError(
-            f"partition requires a normalized system (min distance 1), got {dmin!r}"
-        )
-    iu, ju = np.triu_indices(len(sys.balls), 1)
-    p = np.flatnonzero(np.abs(sys.dist[iu, ju] - dmin) <= 1e-12)[0]
-    pivot = (int(iu[p]), int(ju[p]))
-    d0 = sys.dist[pivot[0]]
-    return PartitionResult(
-        pivot=pivot,
-        near=tuple(np.flatnonzero(d0 < 2.0).tolist()),
-        far=tuple(np.flatnonzero(d0 >= 2.0).tolist()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +391,7 @@ def total_bound(n: int) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# cone-separation verification
+# near/far split and cone separation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -476,35 +416,80 @@ class ConeSeparationReport:
         return asdict(self)
 
 
-def verify_cone_separation(
-    sys: BallSystem, part: PartitionResult
-) -> ConeSeparationReport:
-    """Check every far pair subtends at least half the cone aperture at the
-    pivot (equivalently, realizes aperture >= far_cone_angle() - CONE_TOL)."""
-    if not part.far:
-        raise ValueError("the far set is empty")
-    if len(part.far) < 2:
-        raise ValueError("need at least two far balls to compare")
-    far = np.array(part.far)
-    a, b = np.triu_indices(len(far), 1)
-    i, j = far[a], far[b]
-    d0i = sys.dist[part.pivot[0], i]
-    d0j = sys.dist[part.pivot[0], j]
-    dij = sys.dist[i, j]
-    cos_ang = (d0i * d0i + d0j * d0j - dij * dij) / (2.0 * d0i * d0j)
-    ang = np.arccos(np.clip(cos_ang, -1.0, 1.0))
-    # argmin takes the first minimum, in row-major pair order
-    p = int(np.argmin(ang))
-    min_angle = float(ang[p])
-    threshold = far_cone_angle()
-    aperture = 2.0 * min_angle
-    return ConeSeparationReport(
-        min_angle=min_angle,
-        min_aperture=aperture,
-        witness=(int(i[p]), int(j[p])),
-        threshold=threshold,
-        tol=CONE_TOL,
-        passed=aperture >= threshold - CONE_TOL,
+@dataclass(frozen=True)
+class SplitReport:
+    """A ball system rescaled to minimum center distance 1 and split at
+    distance 2 from the pivot center.
+
+    ``cone_separation`` is None when fewer than two balls are far.
+    """
+
+    scale: float
+    pivot: tuple[int, int]
+    near: tuple[int, ...]
+    far: tuple[int, ...]
+    cone_separation: ConeSeparationReport | None
+
+    def to_json_dict(self) -> dict:
+        """The ``bound --file`` pipeline fields; the pivot is not reported."""
+        out = {"scale": self.scale, "near": list(self.near), "far": list(self.far)}
+        if self.cone_separation is not None:
+            out["cone_separation"] = self.cone_separation.to_json_dict()
+        return out
+
+
+def split_system(system: BallSystem) -> SplitReport:
+    """Rescale the distances so the minimum is 1, split at distance 2 from
+    the pivot center, and check the far pairs' cone separation.
+
+    The system invariants are scale-invariant, so the rescaled system is
+    valid when ``system`` is.  The pivot pair realizes the minimum distance
+    (ties broken by lowest index pair); centers at distance exactly 2 go to
+    the far side.  Every far pair must subtend at least half the cone
+    aperture at the pivot (equivalently, realize aperture >=
+    far_cone_angle() - CONE_TOL).  Fewer than two balls, or coincident
+    centers, raise ValueError.
+    """
+    k = len(system)
+    if k < 2:
+        raise ValueError("need at least two balls")
+    iu, ju = np.triu_indices(k, 1)
+    dmin = float(np.min(system.dist[iu, ju]))
+    if dmin <= 0.0:
+        raise ValueError("coincident centers cannot be rescaled")
+    scale = 1.0 / dmin
+    dist = system.dist * scale
+    d = dist[iu, ju]
+    p = np.flatnonzero(np.abs(d - np.min(d)) <= 1e-12)[0]
+    pivot = (int(iu[p]), int(ju[p]))
+    d0 = dist[pivot[0]]
+    far = np.flatnonzero(d0 >= 2.0)
+    cone = None
+    if len(far) >= 2:
+        a, b = np.triu_indices(len(far), 1)
+        i, j = far[a], far[b]
+        d0i, d0j, dij = d0[i], d0[j], dist[i, j]
+        cos_ang = (d0i * d0i + d0j * d0j - dij * dij) / (2.0 * d0i * d0j)
+        ang = np.arccos(np.clip(cos_ang, -1.0, 1.0))
+        # argmin takes the first minimum, in row-major pair order
+        q = int(np.argmin(ang))
+        min_angle = float(ang[q])
+        threshold = far_cone_angle()
+        aperture = 2.0 * min_angle
+        cone = ConeSeparationReport(
+            min_angle=min_angle,
+            min_aperture=aperture,
+            witness=(int(i[q]), int(j[q])),
+            threshold=threshold,
+            tol=CONE_TOL,
+            passed=aperture >= threshold - CONE_TOL,
+        )
+    return SplitReport(
+        scale=scale,
+        pivot=pivot,
+        near=tuple(np.flatnonzero(d0 < 2.0).tolist()),
+        far=tuple(far.tolist()),
+        cone_separation=cone,
     )
 
 

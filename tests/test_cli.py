@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from negcurve import (
     equivalence_probe,
     total_bound,
 )
-from negcurve.cli import main
+from negcurve.cli import build_parser, main
 
 BL3_DOC = {
     "gram": [
@@ -191,6 +192,16 @@ def test_probe_small(capsys):
     assert out["outputs"]["disagreements"]["II/ii"] == 0
 
 
+def test_probe_flags_left_out_take_the_library_defaults():
+    args = build_parser().parse_args(["probe"])
+    assert not {"n", "samples", "seed"} & set(vars(args))
+    defaults = {
+        name: p.default
+        for name, p in inspect.signature(equivalence_probe).parameters.items()
+    }
+    assert defaults == {"n": 3, "samples": 100_000, "seed": 0}
+
+
 # Out-of-range arguments, each with the library call that rejects the
 # same value: the command line only parses, so its one error line is the
 # library's message.
@@ -208,9 +219,9 @@ OUT_OF_RANGE = {
         "search --n 3 --grid 0.01", lambda: SearchParams(n=3, candidate_grid=0.01)
     ),
     "search-seed": ("search --n 2 --seed -1", lambda: SearchParams(n=2, seed=-1)),
-    "probe-n": ("probe --n 1", lambda: equivalence_probe(1, 100_000)),
-    "probe-samples": ("probe --samples 0", lambda: equivalence_probe(3, 0)),
-    "probe-seed": ("probe --samples 10 --seed -1", lambda: equivalence_probe(3, 10, seed=-1)),
+    "probe-n": ("probe --n 1", lambda: equivalence_probe(n=1)),
+    "probe-samples": ("probe --samples 0", lambda: equivalence_probe(samples=0)),
+    "probe-seed": ("probe --samples 10 --seed -1", lambda: equivalence_probe(samples=10, seed=-1)),
     "bound-n-zero": ("bound --n 0", lambda: total_bound(0)),
     # checked before the envelope, which would overflow here
     "bound-n-401-digits": (f"bound --n -{10**400}", lambda: total_bound(-(10**400))),

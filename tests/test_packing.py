@@ -26,13 +26,11 @@ from negcurve.packing import (
     hemisphere_filter,
     near_bound,
     near_bound_volume,
-    normalize_scale,
     far_cap_measure,
-    partition,
     reduce_ii_star,
+    split_system,
     to_ball_system,
     total_bound,
-    verify_cone_separation,
 )
 
 RNG = np.random.default_rng(31337)
@@ -233,45 +231,45 @@ def test_to_ball_system_agrees_with_pair_kernel():
     assert outcomes == {"valid", "center-inside", "disjoint-closures"}
 
 
+def min_distance(sys):
+    return float(np.min(sys.dist[np.triu_indices(len(sys), 1)]))
+
+
+def rescaled(sys, f):
+    """``sys`` with every distance and radius multiplied by ``f``."""
+    return BallSystem(balls=tuple(Ball(center=b.center, radius=f * b.radius)
+                                  for b in sys.balls),
+                      dist=sys.dist * f, n=sys.n)
+
+
 def test_normalize_scale():
     sys = ball_system_from_points([[0.0, 0.0], [4.0, 0.0]], [1.0, 1.5])
-    out = normalize_scale(sys)
-    assert out.scale == pytest.approx(0.25)
-    assert out.min_distance() == pytest.approx(1.0, abs=1e-12)
-    assert out.radii.tolist() == pytest.approx([0.25, 0.375])
+    assert split_system(sys).scale == 0.25
 
     already = ball_system_from_points([[0.0], [1.0]], [0.5, 0.5])
-    out = normalize_scale(already)
-    assert out.min_distance() == pytest.approx(1.0, abs=1e-12)
-    assert out.radii.tolist() == pytest.approx([0.5, 0.5])
+    assert split_system(already).scale == 1.0
 
 
 def test_normalize_scale_errors():
     single = ball_system_from_points([[0.0]], [1.0])
     with pytest.raises(ValueError):
-        normalize_scale(single)
+        split_system(single)
     dup = ball_system_from_points([[0.0], [0.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
-        normalize_scale(dup)
+        split_system(dup)
 
 
 def test_normalize_preserves_validity():
     for _ in range(10):
         k = int(RNG.integers(2, 7))
-        caps = []
-        base = RNG.uniform(0, 2 * math.pi)
-        for i in range(k):
-            caps.append(circle_cap(base + i * HALF / (k - 1) + HALF, HALF))
-        # build a random valid system instead: points on a circle, radii pi/2
         pts = RNG.normal(size=(k, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         sys = ball_system_from_points(pts, np.full(k, 2.0))
-        if sys.min_distance() <= 0:
+        if min_distance(sys) <= 0:
             continue
-        bad_before = sys.check_valid()
-        out = normalize_scale(sys)
-        assert out.check_valid() == bad_before  # scale-invariant verdicts
-        assert out.min_distance() == pytest.approx(1.0, abs=1e-12)
+        out = rescaled(sys, split_system(sys).scale)
+        assert out.check_valid() == sys.check_valid()  # scale-invariant verdicts
+        assert min_distance(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_examples():
@@ -280,54 +278,49 @@ def test_partition_examples():
     p2 = [1.5 * math.cos(1.4), 1.5 * math.sin(1.4)]
     p3 = [3.0, 0.0]
     sys = ball_system_from_points([z0, p1, p2, p3], [0.9] * 4)
-    part = partition(sys)
-    assert part.pivot == (0, 1)
-    assert part.near == (0, 1, 2)
-    assert part.far == (3,)
+    split = split_system(sys)
+    assert split.pivot == (0, 1)
+    assert split.near == (0, 1, 2)
+    assert split.far == (3,)
 
 
 def test_partition_all_near():
     sys = ball_system_from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]], [1.0] * 3)
-    part = partition(sys)
-    assert part.far == ()
-    assert set(part.near) == {0, 1, 2}
+    split = split_system(sys)
+    assert split.far == ()
+    assert set(split.near) == {0, 1, 2}
 
 
 def test_partition_boundary_goes_far():
     sys = ball_system_from_points([[0.0], [1.0], [2.0]], [0.4] * 3)
-    part = partition(sys)
-    assert part.far == (2,)
-
-
-def test_partition_requires_normalized():
-    sys = ball_system_from_points([[0.0], [2.0]], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        partition(sys)
+    assert split_system(sys).far == (2,)
 
 
 def scalar_partition_and_cone(sys):
-    """The per-pair reference: the first pair at the minimum distance is
-    the pivot, and the far pair subtending the smallest angle at the pivot
-    center is the witness."""
+    """The per-pair reference: rescale to minimum distance 1; the first
+    pair at the minimum distance is the pivot, and the far pair subtending
+    the smallest angle at the pivot center is the witness."""
     k = len(sys)
-    dmin = sys.min_distance()
+    f = 1.0 / min(sys.dist[i, j] for i in range(k) for j in range(i + 1, k))
+    dist = [[f * sys.dist[i, j] for j in range(k)] for i in range(k)]
+    dmin = min(dist[i][j] for i in range(k) for j in range(i + 1, k))
     pivot = next(
         (i, j)
         for i in range(k)
         for j in range(i + 1, k)
-        if abs(sys.dist[i, j] - dmin) <= 1e-12
+        if abs(dist[i][j] - dmin) <= 1e-12
     )
-    d0 = sys.dist[pivot[0]]
+    d0 = dist[pivot[0]]
     far = [i for i in range(k) if d0[i] >= 2.0]
     best = None
     for a, i in enumerate(far):
         for j in far[a + 1 :]:
-            dij = sys.dist[i, j]
+            dij = dist[i][j]
             cos_ang = (d0[i] * d0[i] + d0[j] * d0[j] - dij * dij) / (2.0 * d0[i] * d0[j])
             ang = math.acos(min(1.0, max(-1.0, cos_ang)))
             if best is None or ang < best[0]:
                 best = (ang, (i, j))
-    return pivot, tuple(far), best
+    return f, pivot, tuple(far), best
 
 
 def test_partition_and_cone_separation_match_scalar_oracle():
@@ -337,14 +330,16 @@ def test_partition_and_cone_separation_match_scalar_oracle():
         n = int(rng.integers(2, 4))
         k = int(rng.integers(3, 12))
         pts = rng.uniform(-3.0, 3.0, size=(k, n))
-        sys = normalize_scale(ball_system_from_points(pts, np.full(k, 0.5)))
-        pivot, far, best = scalar_partition_and_cone(sys)
-        part = partition(sys)
-        assert part.pivot == pivot and part.far == far
+        sys = ball_system_from_points(pts, np.full(k, 0.5))
+        scale, pivot, far, best = scalar_partition_and_cone(sys)
+        split = split_system(sys)
+        assert split.scale == scale
+        assert split.pivot == pivot and split.far == far
         if best is None:
+            assert split.cone_separation is None
             continue
         compared += 1
-        report = verify_cone_separation(sys, part)
+        report = split.cone_separation
         # np.arccos may differ from math.acos in the last ulp; the random
         # points have no tied angles
         assert report.min_angle == pytest.approx(best[0], rel=1e-14)
@@ -357,14 +352,14 @@ def test_partition_exhaustive_disjoint_idempotent():
         k = int(RNG.integers(2, 9))
         pts = RNG.uniform(-3, 3, size=(k, 2))
         sys = ball_system_from_points(pts, np.full(k, 0.5))
-        if sys.min_distance() < 1e-6:
+        if min_distance(sys) < 1e-6:
             continue
-        sys = normalize_scale(sys)
-        part = partition(sys)
-        assert sorted(part.near + part.far) == list(range(k))
-        assert set(part.near) & set(part.far) == set()
-        again = partition(normalize_scale(sys))
-        assert again == part
+        split = split_system(sys)
+        assert sorted(split.near + split.far) == list(range(k))
+        assert set(split.near) & set(split.far) == set()
+        again = split_system(rescaled(sys, split.scale))
+        assert again.scale == pytest.approx(1.0, abs=1e-12)
+        assert (again.pivot, again.near, again.far) == (split.pivot, split.near, split.far)
 
 
 # ---------------------------------------------------------------------------
@@ -525,29 +520,30 @@ def far_pair_system(angle, radius=2.5):
 
 
 def test_verify_cone_separation_passes_wide_pair():
-    sys = far_pair_system(1.2)
-    part = partition(sys)
-    assert part.far == (2, 3)
-    report = verify_cone_separation(sys, part)
+    split = split_system(far_pair_system(1.2))
+    assert split.far == (2, 3)
+    report = split.cone_separation
     assert report.passed
     assert report.min_angle == pytest.approx(1.2, abs=1e-9)
     assert report.min_aperture == pytest.approx(2.4, abs=1e-9)
 
 
 def test_verify_cone_separation_fails_narrow_pair():
-    sys = far_pair_system(0.5)
-    part = partition(sys)
-    report = verify_cone_separation(sys, part)
+    report = split_system(far_pair_system(0.5)).cone_separation
     assert not report.passed
     assert report.witness == (2, 3)
     assert report.min_aperture < report.threshold - report.tol
 
 
 def test_verify_cone_separation_needs_far_balls():
-    sys = ball_system_from_points([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    part = partition(sys)
-    with pytest.raises(ValueError):
-        verify_cone_separation(sys, part)
+    # no far ball, then one: there is no far pair to check
+    none_far = ball_system_from_points([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    one_far = ball_system_from_points([[0.0], [1.0], [2.0]], [0.4] * 3)
+    for sys, far in ((none_far, ()), (one_far, (2,))):
+        split = split_system(sys)
+        assert split.far == far
+        assert split.cone_separation is None
+        assert "cone_separation" not in split.to_json_dict()
 
 
 def test_cone_separation_infimum_matches_analytic():
@@ -598,12 +594,11 @@ def test_far_counts_and_cone_separation_on_valid_systems():
     checked_far = 0
 
     def check(fam, n):
-        sys = normalize_scale(to_ball_system(fam))
-        part = partition(sys)
-        assert len(part.far) <= far_bound(n)
-        if len(part.far) < 2:
+        split = split_system(to_ball_system(fam))
+        assert len(split.far) <= far_bound(n)
+        if len(split.far) < 2:
             return 0
-        report = verify_cone_separation(sys, part)
+        report = split.cone_separation
         assert report.min_aperture >= report.threshold - 1e-6
         return 1
 
@@ -641,6 +636,57 @@ def test_bound_file_golden_on_del_pezzo_lines(tmp_path, capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == BOUND_FILE_GOLDENS[n]
 
 
+def identity_gram(n):
+    return np.diag([1] + [-1] * n).tolist()
+
+
+#: sha256 of the `bound --file` stdout on the pipeline branches the del
+#: Pezzo goldens above leave out, recorded before the pipeline became one
+#: call: (document, sha256)
+BOUND_FILE_BRANCH_GOLDENS = {
+    # one ball: the pipeline is only hemisphere_kept and balls
+    "one-curve": (
+        {"gram": identity_gram(2), "curves": [[0, 1, 0]]},
+        "79bf1bd43a2e1a82b2e085168296be29bf30be1a1356afd32513adcdf7176aad",
+    ),
+    # E1, E2, E3: no far ball
+    "no-far": (
+        {
+            "gram": identity_gram(3),
+            "curves": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "labels": ["E1", "E2", "E3"],
+        },
+        "c866e5141fa3a4a4f696913754f56c41db559fa47afdc70cf060d5bdc72fc0c4",
+    ),
+    # E1, E2, E3, H-E3-E4, H-E2-E3, H-E1-E3: exactly one far ball
+    "one-far": (
+        {
+            "gram": identity_gram(4),
+            "curves": [
+                [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                [1, 0, 0, -1, -1], [1, 0, -1, -1, 0], [1, -1, 0, -1, 0],
+            ],
+        },
+        "c91abd045bbd26ef2f01a95dc93a18573710c057a5ebd799efbce06079bae32a",
+    ),
+    # the del Pezzo lines at n = 3: two far balls
+    "del-pezzo-3": (
+        {"gram": identity_gram(3), "curves": del_pezzo_lines(3)},
+        "fe3523d36e308dc3a4f7a74c93c749eeca50b0d88e19f400b0d532d9c7fe15e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_FILE_BRANCH_GOLDENS))
+def test_bound_file_golden_on_each_pipeline_branch(tmp_path, capsys, name):
+    doc, sha = BOUND_FILE_BRANCH_GOLDENS[name]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def valid_far_pair_system(alpha, t):
     """A fully valid four-ball system whose two far centers subtend
     ``alpha`` at the pivot: pivot ball radius just under 1, a min-distance
@@ -658,10 +704,10 @@ def valid_far_pair_system(alpha, t):
 def test_valid_system_with_far_pair_passes_cone_check():
     sys = valid_far_pair_system(1.1, 1.2)
     assert sys.check_valid() == []
-    assert sys.min_distance() == pytest.approx(1.0, abs=1e-12)
-    part = partition(sys)
-    assert part.far == (2, 3)
-    report = verify_cone_separation(sys, part)
+    split = split_system(sys)
+    assert split.scale == pytest.approx(1.0, abs=1e-12)
+    assert split.far == (2, 3)
+    report = split.cone_separation
     assert report.passed
     assert report.min_angle == pytest.approx(1.1, abs=1e-9)
 
@@ -673,9 +719,9 @@ def test_valid_far_pair_below_full_cone_constant():
     # angle) is compared against the constant.
     sys = valid_far_pair_system(0.6, 1.05)
     assert sys.check_valid() == []
-    part = partition(sys)
-    assert part.far == (2, 3)
-    report = verify_cone_separation(sys, part)
+    split = split_system(sys)
+    assert split.far == (2, 3)
+    report = split.cone_separation
     assert report.min_angle < report.threshold  # below the full constant
     assert report.min_angle > report.threshold / 2 - 1e-9
     assert report.min_aperture == pytest.approx(1.2, abs=1e-9)
