@@ -40,17 +40,12 @@ from .errors import (
     NegCurveError,
     NumericalError,
 )
-from .klein import Region, cap_of, figure_streams, project
+from .klein import Region, _project, cap_of, figure_streams
 from .lorentz import QuadraticLattice, embed_class
 from .packing import hemisphere_filter, split_system, to_ball_system, total_bound
 from .search import SearchParams, greedy_max
 
 SCHEMA = "negcurve/run-report/v1"
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_MALFORMED = 2
-EXIT_NUMERIC = 3
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +55,13 @@ EXIT_NUMERIC = 3
 def _int_matrix(raw, what: str) -> list[list[int]]:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{what} must be a nonempty array")
-    out = []
     for row in raw:
         if not isinstance(row, list):
             raise InputError(f"{what} rows must be arrays")
-        vals = []
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InputError(f"{what} entries must be integers, got {x!r}")
-            vals.append(x)
-        out.append(vals)
-    return out
+    return raw
 
 
 def load_document(path: str | Path) -> CurveFamily:
@@ -114,7 +105,7 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _report(command: str, inputs, outputs, seed: int | None = None) -> dict:
+def _report(command: str, inputs, outputs, seed: int | None) -> dict:
     return {
         "schema": SCHEMA,
         "tool_version": __version__,
@@ -148,29 +139,37 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, outputs, seed, exit code), and
+# ``main`` emits the report
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     fam = load_document(args.file)
     report = validate_family(fam)
-    _emit(_report("validate", _document_inputs(fam), report.to_json_dict()), args.json)
-    return EXIT_OK if report.overall else EXIT_INVALID
+    code = 0 if report.overall else InvalidFamilyError.exit_code
+    return _document_inputs(fam), report.to_json_dict(), None, code
+
+
+def _refusal(validation, hint: str = "") -> dict:
+    """The outputs of a command that refuses an invalid family."""
+    return {"error": "family fails validation" + hint,
+            "validation": validation.to_json_dict()}
 
 
 def _embed_records(fam: CurveFamily):
     records = []
     caps = []
     for idx, cls in enumerate(fam.classes):
-        vec = embed_class(fam.lattice, cls)
-        point = project(vec)
+        norm = fam.lattice.norm(cls)
+        # the exact norm, not the float one, decides the region
+        point = _project(embed_class(fam.lattice, cls), (norm > 0) - (norm < 0))
         label = fam.labels[idx] if fam.labels else str(idx)
         rec = {
             "label": label,
             "class": list(cls),
             "region": point.region.value,
             "coords": [float(x) for x in point.coords],
-            "norm": fam.lattice.norm(cls),
+            "norm": norm,
             "in_cylinder": point.region is Region.CYLINDER,
         }
         if point.region is Region.CYLINDER:
@@ -182,20 +181,12 @@ def _embed_records(fam: CurveFamily):
     return records, caps
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     fam = load_document(args.file)
     validation = validate_family(fam)
     if not validation.overall and not args.force:
-        _emit(
-            _report(
-                "embed",
-                _document_inputs(fam),
-                {"error": "family fails validation; rerun with --force",
-                 "validation": validation.to_json_dict()},
-            ),
-            args.json,
-        )
-        return EXIT_INVALID
+        refusal = _refusal(validation, "; rerun with --force")
+        return _document_inputs(fam), refusal, None, InvalidFamilyError.exit_code
     records, caps = _embed_records(fam)
     outputs = {"classes": records, "validated": validation.overall}
     if args.figure_data:
@@ -212,11 +203,10 @@ def cmd_embed(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot write {out_dir}: {exc}") from exc
         outputs["figure_files"] = written
-    _emit(_report("embed", _document_inputs(fam), outputs), args.json)
-    return EXIT_OK
+    return _document_inputs(fam), outputs, None, 0
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     if args.file is None and args.n is None:
         raise InputError("bound needs --n or --file")
     outputs = {}
@@ -233,18 +223,18 @@ def cmd_bound(args) -> int:
             )
         inputs.update(_document_inputs(family))
         outputs.setdefault("bound", total_bound(n).to_json_dict())
+        validation = validate_family(family)
+        if not validation.overall:
+            return inputs, _refusal(validation), None, InvalidFamilyError.exit_code
+        # a valid family has negative classes only, so every class has a cap
         _, caps = _embed_records(family)
-        if len(caps) != len(family):
-            raise InputError("some classes do not project onto the cylinder")
         fam = hemisphere_filter(ModelFamily(caps))
-        pipeline: dict = {"hemisphere_kept": len(fam)}
         system = to_ball_system(fam)
-        pipeline["balls"] = len(system)
+        pipeline = {"hemisphere_kept": len(fam), "balls": len(system)}
         if len(system) >= 2:
             pipeline.update(split_system(system).to_json_dict())
         outputs["pipeline"] = pipeline
-    _emit(_report("bound", inputs, outputs), args.json)
-    return EXIT_OK
+    return inputs, outputs, None, 0
 
 
 def _given(args, *names) -> dict:
@@ -252,23 +242,19 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     params = SearchParams(**_given(args, "n", "seed", "restarts", "candidate_grid"))
     result = greedy_max(params)
     outputs = result.to_json_dict()
     outputs["params"] = asdict(params)
-    _emit(
-        _report("search", outputs["params"], outputs, seed=params.seed),
-        args.json,
-    )
-    return EXIT_OK if result.best.certificate.valid else EXIT_NUMERIC
+    code = 0 if result.best.certificate.valid else NumericalError.exit_code
+    return outputs["params"], outputs, params.seed, code
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args):
     report = equivalence_probe(**_given(args, "n", "samples", "seed"))
     inputs = {"n": report.n, "samples": report.samples, "seed": report.seed}
-    _emit(_report("probe", inputs, report.to_json_dict(), seed=report.seed), args.json)
-    return EXIT_OK
+    return inputs, report.to_json_dict(), report.seed, 0
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a family document")
     p.add_argument("file")
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("embed", help="map classes into the model")
@@ -295,13 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embed even if validation fails")
     p.add_argument("--figure-data", metavar="DIR",
                    help="write n=2 figure point streams into DIR")
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("bound", help="counting bound / family pipeline")
     p.add_argument("--n", type=int, help="dimension n (rank - 1)")
     p.add_argument("--file", help="family document to run the pipeline on")
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_bound)
 
     # a flag left out (default=SUPPRESS) is not passed on, so the library's
@@ -313,40 +296,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, dest="candidate_grid", metavar="GRID",
                    default=argparse.SUPPRESS,
                    help="angular grid resolution in radians")
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("probe", help="condition-system agreement probe")
     p.add_argument("--n", type=int, default=argparse.SUPPRESS)
     p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=cmd_probe)
 
+    # added last, so --json follows each command's own flags in its help
+    for p in sub.choices.values():
+        p.add_argument("--json", help="also write the report to this path")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except InvalidFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        inputs, outputs, seed, code = args.func(args)
+        _emit(_report(args.command, inputs, outputs, seed), args.json)
+        return code
+    except NegCurveError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:
         # numpy names the allocation it could not make
         detail = f" ({exc})" if str(exc) else ""
-        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except NegCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        print(f"{NumericalError.label}: out of memory{detail}", file=sys.stderr)
+        return NumericalError.exit_code
 
 
 if __name__ == "__main__":

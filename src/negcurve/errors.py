@@ -2,7 +2,11 @@
 
 
 class NegCurveError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors: the command line prints
+    one ``{label}: {message}`` line and exits with ``exit_code``."""
+
+    label = "error"
+    exit_code = 2
 
 
 class SignatureError(NegCurveError, ValueError):
@@ -33,13 +37,17 @@ class DegenerateCapPairError(NegCurveError, ValueError):
 
 
 class InvalidFamilyError(NegCurveError, ValueError):
-    """A family breaks a pair condition a later stage relies on (CLI exit
-    code 1)."""
+    """A family breaks a pair condition a later stage relies on (``exit_code`` 1)."""
+
+    exit_code = 1
 
 
 class InputError(NegCurveError, ValueError):
-    """Malformed input or an out-of-range parameter (CLI exit code 2)."""
+    """Malformed input or an out-of-range parameter (the base ``label`` and ``exit_code``)."""
 
 
 class NumericalError(NegCurveError, RuntimeError):
-    """Internal numerical failure (CLI exit code 3)."""
+    """Internal numerical failure (``label`` "numerical failure", ``exit_code`` 3)."""
+
+    label = "numerical failure"
+    exit_code = 3

@@ -121,10 +121,18 @@ def project(v) -> KleinPoint:
     x0, space-like vectors on the cylinder, null vectors on the boundary.
     Idempotent on points already in the section.
     """
+    return _project(v)
+
+
+def _project(v, exact_sign: int | None = None) -> KleinPoint:
+    """:func:`project`, in the region of ``exact_sign``, the sign of a
+    lattice class's exact norm, when it is given."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("expected a vector of dimension >= 2")
     s = sign_class(v)  # raises on the zero vector
+    if exact_sign is not None:
+        s = exact_sign
     x0 = float(v[0])
     spatial = v[1:]
     spn = float(np.linalg.norm(spatial))
@@ -136,6 +144,8 @@ def project(v) -> KleinPoint:
         coords = (math.copysign(1.0, x0), *map(float, c[1:]))
     elif s < 0:
         coords = tuple(float(x) for x in v / spn)
+        if not abs(coords[0]) < 1.0:
+            raise NumericalError("a space-like vector rounds onto the boundary of the model")
         region = Region.CYLINDER
     else:
         # null (within the guard band): snap onto the boundary circle

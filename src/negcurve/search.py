@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 
 import mpmath
@@ -121,11 +120,8 @@ class SearchResult:
     best: Configuration
     size: int
     method: str
-    elapsed: float
 
     def to_json_dict(self) -> dict:
-        # elapsed is intentionally omitted: reports must be byte-identical
-        # across reruns with the same inputs and seed
         return {
             "size": self.size,
             "method": self.method,
@@ -137,15 +133,13 @@ class SearchResult:
         }
 
 
-def _certified_result(caps: list[CapRep], method: str, t0: float) -> SearchResult:
-    """The result of a search that found ``caps``, with their certificate;
-    ``elapsed`` counts from ``t0`` through the certification."""
+def _certified_result(caps: list[CapRep], method: str) -> SearchResult:
+    """The result of a search that found ``caps``, with their certificate."""
     family = ModelFamily(caps)
     return SearchResult(
         best=Configuration(caps=family, certificate=certify(family)),
         size=len(caps),
         method=method,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -365,7 +359,6 @@ def greedy_max(params: SearchParams) -> SearchResult:
     any search if ``total_bound(n)`` does.
     """
     limit = total_bound(params.n).total
-    t0 = time.perf_counter()
     stratum = _stratum(params)
     k0 = len(stratum)
     z0, theta0 = cap_arrays(stratum)
@@ -388,7 +381,7 @@ def greedy_max(params: SearchParams) -> SearchResult:
         raise NumericalError(
             f"search produced {size} caps, above the counting bound {limit}"
         )
-    return _certified_result(best_caps, "greedy", t0)
+    return _certified_result(best_caps, "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +475,7 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
             f"{len(candidates)} candidates exceed the exact-search cutoff "
             f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
         )
-    t0 = time.perf_counter()
     adj = _compatibility_matrix(candidates)
     known = _greedy_clique(adj, _greedy_order(candidates))
     chosen = sorted(_max_clique_bitset(adj, known))
-    return _certified_result([candidates[i] for i in chosen], "exact", t0)
+    return _certified_result([candidates[i] for i in chosen], "exact")

@@ -87,20 +87,71 @@ def test_public_defaulted_parameters_are_pinned():
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_bench_imports_exist():
-    # the benchmark imports these names from the package; one that is
-    # deleted or renamed fails here rather than in a benchmark run
-    imported = set()
-    for path in sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+def _own_nodes(scope):
+    """The nodes of a module or function body, outside nested functions
+    and classes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bench_imports(tree):
+    """(scope, module, name, alias) for each name a module or function
+    of ``tree`` imports from the package."""
+    scopes = [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))]
+    for scope in scopes:
+        for node in _own_nodes(scope):
             if (isinstance(node, ast.ImportFrom) and node.level == 0
                     and node.module.split(".")[0] == "negcurve"):
-                imported |= {(node.module, alias.name) for alias in node.names}
-    assert imported
+                for alias in node.names:
+                    yield scope, node.module, alias.name, alias.asname or alias.name
+
+
+def _bench_missing_names(sources) -> list[str]:
+    """The names that ``sources`` import from the package, or read as
+    attributes of a package submodule they import in the same function
+    (or module body), and that the package does not have."""
     missing = []
-    for module, name in sorted(imported):
-        try:  # the statement itself, which also finds submodules
-            exec(f"from {module} import {name}", {})
-        except ImportError:
-            missing.append(f"{module}.{name}")
-    assert missing == []
+    for source in sources:
+        tree = ast.parse(source)
+        for scope, module, name, alias in _bench_imports(tree):
+            namespace = {}
+            try:  # the statement itself, which also finds submodules
+                exec(f"from {module} import {name}", namespace)
+            except ImportError:
+                missing.append(f"{module}.{name}")
+                continue
+            if not inspect.ismodule(namespace[name]):
+                continue
+            # a nested function sees its enclosing scope's imports too
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name) and node.value.id == alias
+                        and not hasattr(namespace[name], node.attr)):
+                    missing.append(f"{module}.{name}.{node.attr}")
+    return sorted(set(missing))
+
+
+def test_bench_imports_exist():
+    # the benchmark imports these names from the package and reads these
+    # submodule attributes; one that is deleted or renamed fails here
+    # rather than in a benchmark run
+    sources = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert any(_bench_imports(ast.parse(source)) for source in sources)
+    assert _bench_missing_names(sources) == []
+    # the check sees a renamed attribute of an imported submodule, and
+    # reads of a local name that shadows a submodule elsewhere are not
+    # taken for the submodule
+    probe = (
+        "def clear():\n"
+        "    from negcurve import packing\n"
+        "    packing.fit_constants_renamed.cache_clear()\n"
+        "def pairs():\n"
+        "    def packing():\n"
+        "        return 0\n"
+        "    packing.not_an_attribute_of_the_module\n"
+    )
+    assert _bench_missing_names([probe]) == ["negcurve.packing.fit_constants_renamed"]

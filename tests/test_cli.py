@@ -9,8 +9,13 @@ import sys
 import pytest
 
 from negcurve import (
+    DegenerateCapPairError,
     InputError,
+    InvalidFamilyError,
+    NumericalError,
     SearchParams,
+    SignatureError,
+    cli,
     conditions,
     equivalence_probe,
     total_bound,
@@ -301,12 +306,13 @@ def test_json_file_output_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out.rstrip("\n") + "\n"
 
 
-# Documents the exit-code contract used to break on: a duplicate class
-# (valid JSON, invalid family), a Gram entry above int64 (exact checks
-# pass, the floating-point path cannot take it) and a Gram matrix of the
-# right signature whose floating-point standardization misses tolerance;
-# and a valid family, which breaks it only through an output path that
-# cannot be written.
+# Documents the exit-code contract used to break on: a duplicate class,
+# a pair of pairing -2 and a class of norm +1 (valid JSON, invalid
+# family), a Gram entry above int64 (exact checks pass, the
+# floating-point path cannot take it), a Gram matrix of the right
+# signature whose floating-point standardization misses tolerance and a
+# valid pair whose cap angle rounds to 0; and a valid family, which breaks
+# it only through an output path that cannot be written.
 HARD_DOCS = {
     "valid-rank-3": {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
@@ -315,6 +321,14 @@ HARD_DOCS = {
     "duplicate-class": {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[0, 1, 0], [0, 1, 0]],
+    },
+    "negative-pairing": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[1, -3, -3], [1, -3, 2]],
+    },
+    "positive-class": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[1, 0, 0], [0, 1, 0]],
     },
     "gram-above-int64": {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -10**20]],
@@ -333,6 +347,11 @@ HARD_DOCS = {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[0, 1, 0], [0, 0, 10**155]],
     },
+    # norms -1, but x0 = 10^8 / sqrt(10^16 + 1) rounds to 1
+    "cap-angle-rounds-to-zero": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        "curves": [[10**8, 10**8, 1], [10**8, 10**8, -1]],
+    },
     # rank 1 gives n = 0, which has no counting bound
     "rank-1": {"gram": [[1]], "curves": [[1]]},
 }
@@ -344,7 +363,9 @@ HARD_DOCS = {
         # the report on stdout names the failed pair; stderr stays empty
         ("duplicate-class", "validate", 1, ""),
         ("duplicate-class", "embed", 1, ""),
-        ("duplicate-class", "bound --file", 1, "error: pair (0, 1) violates the center condition"),
+        ("duplicate-class", "bound --file", 1, ""),
+        ("negative-pairing", "bound --file", 1, ""),
+        ("positive-class", "bound --file", 1, ""),
         ("gram-above-int64", "validate", 0, ""),
         ("gram-above-int64", "embed", 3, "numerical failure: Gram entries exceed"),
         ("gram-above-int64", "bound --file", 3, "numerical failure: Gram entries exceed"),
@@ -353,10 +374,13 @@ HARD_DOCS = {
         ("standardize-residual", "bound --file", 3, "numerical failure: standardization residual"),
         ("class-beyond-double", "validate", 3, "numerical failure: class pairings exceed"),
         ("class-beyond-double", "embed", 3, "numerical failure: class pairings exceed"),
-        ("class-beyond-double", "bound --file", 3, "numerical failure: class entries exceed"),
+        ("class-beyond-double", "bound --file", 3, "numerical failure: class pairings exceed"),
         ("class-near-double-limit", "validate", 3, "numerical failure: class pairings exceed"),
         ("class-near-double-limit", "embed", 3, "numerical failure: class pairings exceed"),
-        ("class-near-double-limit", "bound --file", 3, "numerical failure: vector entries exceed"),
+        ("class-near-double-limit", "bound --file", 3, "numerical failure: class pairings exceed"),
+        ("cap-angle-rounds-to-zero", "validate", 0, ""),
+        ("cap-angle-rounds-to-zero", "embed", 3, "numerical failure: a space-like vector rounds"),
+        ("cap-angle-rounds-to-zero", "bound --file", 3, "numerical failure: a space-like vector rounds"),
         ("rank-1", "bound --file", 2, "error: n must be >= 1"),
         ("valid-rank-3", "validate", 0, ""),
         # --n must agree with the document's rank - 1
@@ -377,6 +401,58 @@ def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
         assert len(lines) == 1 and lines[0].startswith(stderr)
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize("doc", ["duplicate-class", "negative-pairing", "positive-class"])
+def test_bound_file_refuses_an_invalid_family_as_embed_does(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, HARD_DOCS[doc])
+    assert main(["validate", path]) == 1
+    validation = json.loads(capsys.readouterr().out)["outputs"]
+    assert main(["bound", "--file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    outputs = json.loads(captured.out)["outputs"]
+    assert outputs == {"error": "family fails validation", "validation": validation}
+
+
+@pytest.mark.parametrize("command", ["embed", "bound --file"])
+def test_exact_norm_decides_the_region(tmp_path, capsys, command):
+    # norms -1, so both classes are space-like, but the float norm -1
+    # lies within the null guard band 1e-9 |v|^2 = 20
+    doc = dict(HARD_DOCS["valid-rank-3"], curves=[[10**5, 10**5, 1], [10**5, 10**5, -1]])
+    path = write_doc(tmp_path, doc)
+    assert main([*command.split(), path]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    if command == "embed":
+        for rec in outputs["classes"]:
+            assert rec["norm"] == -1 and rec["region"] == "cylinder"
+            assert rec["theta"] == pytest.approx(1.0e-5, rel=1e-3)
+    else:
+        assert outputs["pipeline"]["balls"] == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (InputError("bad"), 2, "error: bad"),
+        (InvalidFamilyError("bad"), 1, "error: bad"),
+        (NumericalError("bad"), 3, "numerical failure: bad"),
+        (SignatureError((2, 1, 0)), 2, "error: expected signature"),
+        (DegenerateCapPairError("bad"), 2, "error: bad"),
+        (MemoryError("bad"), 3, "numerical failure: out of memory (bad)"),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, BaseException) else None,
+)
+def test_exit_code_table(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bound", fail)
+    assert main(["bound", "--n", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -209,9 +210,13 @@ def test_candidate_caps_include_cross_polytope():
 
 
 def test_search_result_json_excludes_elapsed():
+    # no timing field, in the result or its report: reruns with the same
+    # inputs and seed give the same bytes
     params = SearchParams(n=2, seed=1, restarts=1)
-    blob = greedy_max(params).to_json_dict()
-    assert "elapsed" not in blob
+    result = greedy_max(params)
+    assert [f.name for f in fields(result)] == ["best", "size", "method"]
+    blob = result.to_json_dict()
+    assert sorted(blob) == ["caps", "certificate", "method", "size"]
     assert blob["size"] == len(blob["caps"])
 
 
