@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import repeat
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -177,11 +178,11 @@ class ModelFamily:
         return len(self.caps)
 
 
-@dataclass(frozen=True, slots=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """The signed margin of one condition on one element or pair: a
     failure in a :class:`ValidationReport`, or any entry of a search
-    certificate."""
+    certificate.  A named tuple, so it equals the plain tuple
+    ``(indices, condition, margin)``."""
 
     indices: tuple[int, ...]
     condition: str
@@ -205,9 +206,8 @@ class ValidationReport:
     min_margins: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        # not asdict, which deep-copies each failure record: on the 27k
-        # failures of a 300-cap family it takes 0.32 s against 0.01 s
-        # (2-core VM, Python 3.11)
+        # not asdict, which would keep each record a named tuple, and json
+        # writes a tuple as a list
         return {
             "kind": self.kind,
             "size": self.size,
@@ -215,8 +215,7 @@ class ValidationReport:
             "checked": dict(self.checked),
             "min_margins": dict(self.min_margins),
             "failures": [
-                {"indices": f.indices, "condition": f.condition, "margin": f.margin}
-                for f in self.failures
+                {"indices": i, "condition": c, "margin": m} for i, c, m in self.failures
             ],
         }
 
@@ -248,6 +247,13 @@ def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
     return _validate_lattice(fam) if isinstance(fam, CurveFamily) else _validate_model(fam)
 
 
+def _verdicts(indices, conditions, margins) -> list[PairVerdict]:
+    """The :class:`PairVerdict` records of three columns.  tuple.__new__
+    fills each record from zip's tuple in C, without a Python-level call
+    per record."""
+    return list(map(tuple.__new__, repeat(PairVerdict), zip(indices, conditions, margins)))
+
+
 def _report(kind, names, pairs, elem_margin, elem_ok, margins, ok, checked) -> ValidationReport:
     """The report from the (k,) element margins and verdicts and the
     (pairs, 2) pair margins, verdicts and checked masks, one row per pair
@@ -256,31 +262,37 @@ def _report(kind, names, pairs, elem_margin, elem_ok, margins, ok, checked) -> V
     k = len(elem_margin)
     iu, ju = pairs
     bad = np.flatnonzero(~elem_ok)
-    failures = [
-        PairVerdict((i,), names[0], m)
-        for i, m in zip(bad.tolist(), elem_margin[bad].tolist())
-    ]
     p, c = np.divmod(np.flatnonzero(checked & ~ok), 2)
-    failures += [
-        PairVerdict((i, j), names[1 + col], m)
-        for i, j, col, m in zip(
-            iu[p].tolist(), ju[p].tolist(), c.tolist(), margins[p, c].tolist()
-        )
-    ]
+    first = iu[p]
+    # the pairs in (i, j, condition) order
+    failures = _verdicts(
+        zip(first.tolist(), ju[p].tolist()),
+        np.array(names[1:], dtype=object)[c].tolist(),
+        margins[p, c].tolist(),
+    )
     if len(bad):
-        # stable: the two conditions of a pair already come in order
-        failures.sort(key=lambda f: f.indices)
+        # each element (i,) goes before the pairs (i, j): at the first
+        # pair whose first index is at least i
+        pair_records, failures, start = failures, [], 0
+        cuts = np.searchsorted(first, bad).tolist()
+        elements = _verdicts(zip(bad.tolist()), repeat(names[0]), elem_margin[bad].tolist())
+        for cut, element in zip(cuts, elements):
+            failures += pair_records[start:cut]
+            failures.append(element)
+            start = cut
+        failures += pair_records[start:]
 
+    counts = checked.sum(axis=0).tolist()
     min_margins = {names[0]: float(elem_margin.min())}
     for col in (0, 1):
-        if checked[:, col].any():
+        if counts[col]:
             min_margins[names[1 + col]] = float(margins[checked[:, col], col].min())
     return ValidationReport(
         kind=kind,
         size=k,
         overall=not failures,
         failures=failures,
-        checked=dict(zip(names, [k, *checked.sum(axis=0).tolist()])),
+        checked=dict(zip(names, [k, *counts])),
         min_margins=min_margins,
     )
 

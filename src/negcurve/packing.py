@@ -102,10 +102,9 @@ class BallSystem:
         ])
         p, which = np.divmod(np.flatnonzero(bad), 2)
         kinds = ("center-inside", "disjoint-closures")
-        return [
-            (i, j, kinds[w])
-            for i, j, w in zip(iu[p].tolist(), ju[p].tolist(), which.tolist())
-        ]
+        return list(
+            zip(iu[p].tolist(), ju[p].tolist(), map(kinds.__getitem__, which.tolist()))
+        )
 
 
 def ball_system_from_points(points, radii) -> BallSystem:
@@ -168,10 +167,7 @@ def reduce_ii_star(fam: ModelFamily) -> list[tuple[tuple[int, int], bool, float]
     i, j = np.nonzero(~np.eye(k, dtype=bool))
     m = margin[i, j]
     ok = m >= -TOL_BOUNDARY
-    return [
-        ((a, b), ok, x)
-        for a, b, ok, x in zip(i.tolist(), j.tolist(), ok.tolist(), m.tolist())
-    ]
+    return list(zip(zip(i.tolist(), j.tolist()), ok.tolist(), m.tolist()))
 
 
 def to_ball_system(fam: ModelFamily) -> BallSystem:

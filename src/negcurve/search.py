@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -101,7 +101,15 @@ class Certificate:
     violations: tuple[PairVerdict, ...]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # not asdict, which would keep the records named tuples, and json
+        # writes a tuple as a list
+        return {
+            "valid": self.valid,
+            "digits": self.digits,
+            "min_margin": self.min_margin,
+            "worst": None if self.worst is None else self.worst._asdict(),
+            "violations": [v._asdict() for v in self.violations],
+        }
 
 
 @dataclass(frozen=True)
@@ -366,8 +374,12 @@ def greedy_max(params: SearchParams) -> SearchResult:
     fixed = _compatible(z0, theta0, z0, theta0)
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
-        caps = stratum + _random_caps(params, np.random.default_rng(seq))
-        z, theta = cap_arrays(caps)
+        drawn = _random_caps(params, np.random.default_rng(seq))
+        caps = stratum + drawn
+        zr, tr = cap_arrays(drawn)
+        # the stratum's arrays are fixed; no draws give (0, 0) feet
+        z = np.concatenate([z0, zr.reshape(len(drawn), params.n)])
+        theta = np.concatenate([theta0, tr])
         # the upper triangle of the whole matrix: the stratum block and
         # the columns of the random caps
         ok = np.zeros((len(caps), len(caps)), dtype=bool)

@@ -3,6 +3,8 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import negcurve
 from negcurve.conditions import positive_combination_witness
 from negcurve.klein import figure_streams
@@ -155,3 +157,24 @@ def test_bench_imports_exist():
         "    packing.not_an_attribute_of_the_module\n"
     )
     assert _bench_missing_names([probe]) == ["negcurve.packing.fit_constants_renamed"]
+
+
+def test_failure_records_are_immutable_named_fields():
+    # bench/ops.py reads report.failures and each record's condition, and
+    # bench/selftest.py pops from the list
+    lat = negcurve.QuadraticLattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    report = negcurve.validate_family(negcurve.CurveFamily(lat, [(1, 0, 0), (0, 1, 0), (0, 1, 0)]))
+    assert type(report.failures) is list
+    assert [tuple(f) for f in report.failures] == [((0,), "I", -1.0), ((1, 2), "II", -1.0)]
+    for f in report.failures:
+        assert (f.indices, f.condition, f.margin) == tuple(f)
+        hash(f)
+        with pytest.raises(AttributeError):
+            f.margin = 0.0
+    # a search certificate writes its records as JSON objects
+    caps = negcurve.ModelFamily([negcurve.CapRep(z=(1.0, 0.0), theta=0.5),
+                                 negcurve.CapRep(z=(0.0, 1.0), theta=0.7)])
+    cert = negcurve.certify(caps).to_json_dict()
+    assert cert["violations"]
+    for record in [cert["worst"], *cert["violations"]]:
+        assert type(record) is dict and list(record) == ["indices", "condition", "margin"]

@@ -663,6 +663,106 @@ def test_validate_lattice_exact_at_the_int64_switch(classes, dtype, disc_low, di
     assert {f.condition for f in report.failures} == {"I", "II", "III"}
 
 
+def bulk_lattice_family(seed, rank, size):
+    """``size`` seeded classes of a scrambled I_{1,rank-1}, duplicates
+    allowed: the first, the last and every tenth class are time-like or
+    null, so (I) fails for them; the rest are negative."""
+    rng = np.random.default_rng(seed)
+    u = np.eye(rank, dtype=np.int64) + np.triu(rng.integers(-2, 3, (rank, rank)), 1)
+    gram = u.T @ np.diag([1] + [-1] * (rank - 1)) @ u
+    classes = []
+    while len(classes) < size:
+        c = rng.integers(-3, 4, rank)
+        k = len(classes)
+        negative = k % 10 != 9 and 0 < k < size - 1
+        if c.any() and (int(c @ gram @ c) < 0) == negative:
+            classes.append(c.tolist())
+    return CurveFamily(QuadraticLattice(gram.tolist()), classes)
+
+
+# sha256 of validate_family(bulk_lattice_family(...)).to_json_dict() as
+# recorded when the builder sorted its records by a Python key
+LATTICE_REPORT_GOLDEN = [
+    # (seed, rank, size, sha256)
+    (301, 3, 40, "e2128eaf154604786f4e1747b7a3499da5a75bd0e7ae15db515e87bd402948a1"),
+    (302, 4, 120, "285d623aed508cfc7d7cbce41e8951e82e27cf08c4b23add19c92cc5e4f4f0ec"),
+    (303, 6, 200, "0651f0234727f06ade50fe6cfeec4912e0073ed4e59c5d55fcaa1c11bd4c684a"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, rank, size, sha", LATTICE_REPORT_GOLDEN,
+    ids=[f"seed{g[0]}" for g in LATTICE_REPORT_GOLDEN],
+)
+def test_validate_lattice_report_golden(seed, rank, size, sha):
+    report = validate_family(bulk_lattice_family(seed, rank, size))
+    assert {f.condition for f in report.failures} == {"I", "II", "III"}
+    # element failures at both ends, pair failures in between
+    assert report.failures[0].indices == (0,) and report.failures[-1].indices == (size - 1,)
+    assert report_digest(report.to_json_dict()) == sha
+
+
+def sorted_records(names, pairs, elem_margin, elem_ok, margins, ok, checked):
+    """Independent oracle for the report builder's record order: the
+    element records, then the pair records in (i, j, condition) order,
+    then a stable sort by indices."""
+    iu, ju = pairs
+    bad = np.flatnonzero(~elem_ok)
+    records = [((i,), names[0], m) for i, m in zip(bad.tolist(), elem_margin[bad].tolist())]
+    p, c = np.divmod(np.flatnonzero(checked & ~ok), 2)
+    records += [
+        ((i, j), names[1 + col], m)
+        for i, j, col, m in zip(iu[p].tolist(), ju[p].tolist(), c.tolist(),
+                                margins[p, c].tolist())
+    ]
+    records.sort(key=lambda r: r[0])
+    return records
+
+
+def test_report_records_match_sorted_oracle(monkeypatch):
+    seen = []
+    build = conditions._report
+
+    def spy(kind, *args):
+        report = build(kind, *args)
+        seen.append((kind, report))
+        assert report.failures == sorted_records(*args)
+        return report
+
+    monkeypatch.setattr(conditions, "_report", spy)
+    rng = np.random.default_rng(82)
+    families = [
+        # no failures
+        CurveFamily(BL3, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        ModelFamily([CapRep(z=(1.0, 0.0, 0.0), theta=2.0), CapRep(z=(-1.0, 0.0, 0.0), theta=2.5),
+                     CapRep(z=(0.0, 1.0, 0.0), theta=1.7)]),
+        # only elements fail: time-like classes that pair positively
+        CurveFamily(BL3, [(1, 0, 0, 0), (2, 0, 0, 0), (3, 1, 0, 0)]),
+        # duplicate classes, with an element failure between them
+        CurveFamily(BL3, [(0, 1, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]),
+        bulk_lattice_family(83, 5, 60),
+    ]
+    for _ in range(40):
+        rank = int(rng.integers(2, 6))
+        classes = rng.integers(-3, 4, (int(rng.integers(1, 30)), rank))
+        classes = [c for c in classes.tolist() if any(c)] or [[1] * rank]
+        # repeat some classes
+        classes += [classes[i] for i in rng.integers(0, len(classes), 3)]
+        lat = QuadraticLattice(np.diag([1] + [-1] * (rank - 1)).tolist())
+        families.append(CurveFamily(lat, classes))
+        families.append(ModelFamily(mixed_caps(rng, int(rng.integers(2, 5)),
+                                               int(rng.integers(1, 30)))))
+    for fam in families:
+        validate_family(fam)
+    kinds = [(kind, bool(report.failures)) for kind, report in seen]
+    assert {("lattice", False), ("lattice", True), ("model", False), ("model", True)} <= set(kinds)
+    assert seen[2][1].failures and {f.condition for f in seen[2][1].failures} == {"I"}
+    for _, report in seen:
+        for f in report.failures:
+            assert type(f.indices) is tuple and all(type(i) is int for i in f.indices)
+            assert type(f.condition) is str and type(f.margin) is float
+
+
 def test_verdicts_invariant_under_scaling_and_isometry():
     # scaling classes by positive integers and pushing through a random
     # standardization must not change any verdict
