@@ -55,7 +55,6 @@ from .packing import (
     near_bound_volume,
     reduce_ii_star,
     split_system,
-    to_ball_system,
     total_bound,
 )
 from .search import (

@@ -31,7 +31,9 @@ from . import __version__
 from .conditions import (
     CurveFamily,
     ModelFamily,
+    cap_arrays,
     equivalence_probe,
+    pair_margins,
     validate_family,
 )
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .klein import Region, _project, cap_of, figure_streams
 from .lorentz import QuadraticLattice, embed_class
-from .packing import hemisphere_filter, split_system, to_ball_system, total_bound
+from .packing import hemisphere_filter, split_system, total_bound
 from .search import SearchParams, greedy_max
 
 SCHEMA = "negcurve/run-report/v1"
@@ -226,13 +228,14 @@ def cmd_bound(args):
         validation = validate_family(family)
         if not validation.overall:
             return inputs, _refusal(validation), None, InvalidFamilyError.exit_code
-        # a valid family has negative classes only, so every class has a cap
+        # a valid family has negative classes only, so every class has a
+        # cap; the exact verdict above is the only validity gate
         _, caps = _embed_records(family)
-        fam = hemisphere_filter(ModelFamily(caps))
-        system = to_ball_system(fam)
-        pipeline = {"hemisphere_kept": len(fam), "balls": len(system)}
-        if len(system) >= 2:
-            pipeline.update(split_system(system).to_json_dict())
+        kept = hemisphere_filter(ModelFamily(caps))
+        pipeline = {"hemisphere_kept": len(kept), "balls": len(kept)}
+        if len(kept) >= 2:
+            delta = pair_margins(*cap_arrays(kept.caps))[0]
+            pipeline.update(split_system(delta).to_json_dict())
         outputs["pipeline"] = pipeline
     return inputs, outputs, None, 0
 

@@ -37,7 +37,11 @@ class DegenerateCapPairError(NegCurveError, ValueError):
 
 
 class InvalidFamilyError(NegCurveError, ValueError):
-    """A family breaks a pair condition a later stage relies on (``exit_code`` 1)."""
+    """A family that fails validation (``exit_code`` 1).
+
+    Nothing in the package raises it: a command that refuses an invalid
+    family prints the validation report and exits with this ``exit_code``.
+    """
 
     exit_code = 1
 

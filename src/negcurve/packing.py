@@ -1,21 +1,29 @@
-"""Reduction of a cap family to a Euclidean ball system and the explicit
+"""The near/far split of a cap family's distance matrix and the explicit
 exponential counting bound.
 
 Pipeline: restrict a family to caps of angular radius <= pi/2 (reflecting
-the larger half through x0 -> -x0 when needed), check the reduced pair
-conditions
+the larger half through x0 -> -x0 when needed), take the angular
+separations delta_ij of the kept caps as the center distances of balls
+B(z_i, theta_i), rescale so the minimum center distance is 1, and split
+the system at distance 2 from the first pivot center.  The near part is
+counted by the fixed formula 2^(n+1); the far part by a spherical-cap
+measure argument built on the exclusion-cone aperture
+2*arctan(sqrt(15)/7).  Doubling for the discarded hemisphere gives the
+total, and fitting (u, v) over a horizon of ranks produces a single
+closed-form envelope u * v^(n+1).
 
-    (ii*)  theta_i < delta_ij      (no center inside another ball)
-    (iii)  delta_ij <= theta_i + theta_j   (every two closed balls touch),
+The caller's exact verdict decides validity; nothing here checks it
+again.  A family that passes the exact lattice validator gives a valid
+ball system (no center inside another ball, every two closed balls
+touch):
 
-transcribe the angular data into a system of balls B(z_i, theta_i) whose
-pairwise distances are the angular separations, rescale so the minimum
-center distance is 1, and split the system at distance 2 from the first
-pivot center.  The near part is counted by the fixed formula 2^(n+1); the
-far part by a spherical-cap measure argument built on the exclusion-cone
-aperture 2*arctan(sqrt(15)/7).  Doubling for the discarded hemisphere
-gives the total, and fitting (u, v) over a horizon of ranks produces a
-single closed-form envelope u * v^(n+1).
+    after the filter theta <= pi/2, so (II) <=> (ii) gives
+        cos delta_ij <= cos theta_i cos theta_j <= cos theta_i,
+        that is, delta_ij >= max(theta_i, theta_j);
+    (III) => (iii) gives delta_ij <= theta_i + theta_j;
+    the reflection x0 -> -x0 is an H-isometry, so both hold after it.
+
+A float re-check could only disagree with the exact verdict by rounding.
 
 Geometry behind the cone constant: for two far balls at center distances
 k, r >= 2 from the pivot, the touching/exclusion constraints force the
@@ -37,7 +45,7 @@ import mpmath
 import numpy as np
 
 from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
-from .errors import InputError, InvalidFamilyError, NumericalError
+from .errors import InputError, NumericalError
 from .klein import CapRep
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
@@ -168,40 +176,6 @@ def reduce_ii_star(fam: ModelFamily) -> list[tuple[tuple[int, int], bool, float]
     m = margin[i, j]
     ok = m >= -TOL_BOUNDARY
     return list(zip(zip(i.tolist(), j.tolist()), ok.tolist(), m.tolist()))
-
-
-def to_ball_system(fam: ModelFamily) -> BallSystem:
-    """Transcribe caps into balls: radii = theta, distances = delta.
-
-    Rejects families violating the reduced center condition or the
-    touching condition beyond TOL_BOUNDARY with
-    :class:`InvalidFamilyError`, naming the first offending pair of
-    :meth:`BallSystem.check_valid`.
-    """
-    _require_hemisphere(fam)
-    if len(fam) == 0:
-        raise ValueError("cannot transcribe an empty family")
-    dist = pair_margins(*cap_arrays(fam.caps))[0]
-    np.fill_diagonal(dist, 0.0)
-    system = BallSystem(
-        balls=tuple(Ball(center=cap.z, radius=cap.theta) for cap in fam.caps),
-        dist=dist,
-        n=fam.caps[0].n,
-    )
-    violations = system.check_valid()
-    if violations:
-        i, j, which = violations[0]
-        delta, ti, tj = dist[i, j], fam.caps[i].theta, fam.caps[j].theta
-        if which == "center-inside":
-            raise InvalidFamilyError(
-                f"pair ({i}, {j}) violates the center condition: "
-                f"delta = {delta:.6f} < max theta = {max(ti, tj):.6f}"
-            )
-        raise InvalidFamilyError(
-            f"pair ({i}, {j}) violates the touching condition: "
-            f"delta = {delta:.6f} > theta_i + theta_j = {ti + tj:.6f}"
-        )
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +388,7 @@ class ConeSeparationReport:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """A ball system rescaled to minimum center distance 1 and split at
+    """A distance matrix rescaled to minimum center distance 1 and split at
     distance 2 from the pivot center.
 
     ``cone_separation`` is None when fewer than two balls are far.
@@ -434,27 +408,34 @@ class SplitReport:
         return out
 
 
-def split_system(system: BallSystem) -> SplitReport:
-    """Rescale the distances so the minimum is 1, split at distance 2 from
-    the pivot center, and check the far pairs' cone separation.
+def split_system(dist) -> SplitReport:
+    """Rescale a (k, k) center-distance matrix so the minimum is 1, split
+    at distance 2 from the pivot center, and check the far pairs' cone
+    separation.
 
-    The system invariants are scale-invariant, so the rescaled system is
-    valid when ``system`` is.  The pivot pair realizes the minimum distance
-    (ties broken by lowest index pair); centers at distance exactly 2 go to
-    the far side.  Every far pair must subtend at least half the cone
-    aperture at the pivot (equivalently, realize aperture >=
-    far_cone_angle() - CONE_TOL).  Fewer than two balls, or coincident
-    centers, raise ValueError.
+    Only the upper triangle of ``dist`` is read, with the pivot's own
+    entry counted as 0, so the diagonal need not be zeroed; the
+    ``bound --file`` pipeline passes the kernel's delta matrix of the kept
+    caps as it is.  Validity is the caller's exact verdict, not checked
+    here (see the module docstring); the system invariants are
+    scale-invariant, so the rescaled system is valid when the input is.
+    The pivot pair realizes the minimum distance (ties broken by lowest
+    index pair); centers at distance exactly 2 go to the far side.  Every
+    far pair must subtend at least half the cone aperture at the pivot
+    (equivalently, realize aperture >= far_cone_angle() - CONE_TOL).
+    Fewer than two centers, or coincident ones, raise ValueError.
     """
-    k = len(system)
+    k = len(dist)
     if k < 2:
         raise ValueError("need at least two balls")
     iu, ju = np.triu_indices(k, 1)
-    dmin = float(np.min(system.dist[iu, ju]))
+    upper = np.triu(dist, 1)
+    dmin = float(np.min(upper[iu, ju]))
     if dmin <= 0.0:
         raise ValueError("coincident centers cannot be rescaled")
     scale = 1.0 / dmin
-    dist = system.dist * scale
+    # mirrored upper triangle: a zero diagonal, and each pair read once
+    dist = (upper + upper.T) * scale
     d = dist[iu, ju]
     p = np.flatnonzero(np.abs(d - np.min(d)) <= 1e-12)[0]
     pivot = (int(iu[p]), int(ju[p]))

@@ -41,7 +41,7 @@ PUBLIC = {
     "hemisphere_filter", "inner", "max_norm_on_ray", "near_bound",
     "near_bound_volume", "orth_disc", "pair_margins", "point_of",
     "project", "reduce_ii_star", "sign_class", "signature",
-    "split_system", "standardize", "to_ball_system", "total_bound",
+    "split_system", "standardize", "total_bound",
     "validate_family",
 }
 

@@ -431,6 +431,43 @@ def test_exact_norm_decides_the_region(tmp_path, capsys, command):
         assert outputs["pipeline"]["balls"] == 2
 
 
+def thin_cap_tie(N):
+    """I_{1,2} classes (N, N, 1) and (N, N, -1): norms -1 and pairing 1, a
+    (III) tie, so the family is valid for every N; its caps thin as N grows."""
+    return {"gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "curves": [[N, N, 1], [N, N, -1]]}
+
+
+def test_bound_file_runs_the_pipeline_on_a_thin_cap_tie(tmp_path, capsys):
+    # the exact verdict is the only gate; in doubles, delta and
+    # theta_i + theta_j of this tie differ by rounding alone
+    path = write_doc(tmp_path, thin_cap_tie(3 * 10**7))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["bound", "--file", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    pipeline = json.loads(captured.out)["outputs"]["pipeline"]
+    assert (pipeline["near"], pipeline["far"], pipeline["balls"]) == ([0, 1], [], 2)
+
+
+@pytest.mark.parametrize(
+    "N", [10**5, 10**6, 10**7, 3 * 10**7, 5 * 10**7, 6 * 10**7, 7 * 10**7, 10**8]
+)
+def test_bound_file_never_refuses_a_valid_family(tmp_path, capsys, N):
+    # a valid family runs through, or the doubles give out (exit 3, one
+    # line); it is never refused as invalid
+    path = write_doc(tmp_path, thin_cap_tie(N))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    code = main(["bound", "--file", path])
+    lines = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
 @pytest.mark.parametrize(
     "error, code, prefix",
     [

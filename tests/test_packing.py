@@ -12,7 +12,6 @@ import pytest
 from conftest import del_pezzo_lines
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
-from negcurve.errors import InvalidFamilyError
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
     Ball,
@@ -29,7 +28,6 @@ from negcurve.packing import (
     far_cap_measure,
     reduce_ii_star,
     split_system,
-    to_ball_system,
     total_bound,
 )
 
@@ -170,66 +168,8 @@ def test_check_valid_matches_scalar_oracle():
 
 
 # ---------------------------------------------------------------------------
-# ball systems
+# ball systems and the near/far split
 # ---------------------------------------------------------------------------
-
-def test_to_ball_system_transcribes_angles():
-    sys = to_ball_system(ModelFamily([circle_cap(0.0, HALF), circle_cap(HALF, HALF)]))
-    assert sys.dist[0, 1] == pytest.approx(HALF, abs=1e-12)
-    assert sys.radii.tolist() == pytest.approx([HALF, HALF])
-    assert sys.check_valid() == []
-
-
-def test_to_ball_system_single_cap():
-    sys = to_ball_system(ModelFamily([circle_cap(0.3, 1.0)]))
-    assert len(sys) == 1
-
-
-def test_to_ball_system_rejects_disjoint_pair():
-    fam = ModelFamily([circle_cap(0.0, math.pi / 6), circle_cap(HALF, math.pi / 6)])
-    with pytest.raises(InvalidFamilyError, match=r"\(0, 1\).*touching"):
-        to_ball_system(fam)
-
-
-def test_to_ball_system_rejects_center_violation():
-    fam = ModelFamily([circle_cap(0.0, math.pi / 3), circle_cap(0.2, math.pi / 3)])
-    with pytest.raises(InvalidFamilyError, match=r"\(0, 1\).*center"):
-        to_ball_system(fam)
-
-
-def test_to_ball_system_agrees_with_pair_kernel():
-    # distances are the kernel's deltas, and the family is rejected exactly
-    # when check_valid() finds a violation, naming the first one
-    rng = np.random.default_rng(4242)
-    words = {"center-inside": "center", "disjoint-closures": "touching"}
-    outcomes = set()
-    for trial in range(400):
-        n = int(rng.integers(2, 5))
-        if trial % 2:
-            caps = list(random_valid_family(rng, n, pool=12).caps)
-        else:
-            caps = small_caps(rng, n, int(rng.integers(2, 6)))
-        fam = ModelFamily(caps)
-        delta = pair_margins(*cap_arrays(caps))[0]
-        np.fill_diagonal(delta, 0.0)
-        expected = BallSystem(
-            balls=tuple(Ball(center=c.z, radius=c.theta) for c in caps),
-            dist=delta,
-            n=n,
-        ).check_valid()
-        if expected:
-            i, j, which = expected[0]
-            outcomes.add(which)
-            with pytest.raises(
-                InvalidFamilyError,
-                match=rf"^pair \({i}, {j}\) violates the {words[which]} condition",
-            ):
-                to_ball_system(fam)
-        else:
-            outcomes.add("valid")
-            assert np.array_equal(to_ball_system(fam).dist, delta)
-    assert outcomes == {"valid", "center-inside", "disjoint-closures"}
-
 
 def min_distance(sys):
     return float(np.min(sys.dist[np.triu_indices(len(sys), 1)]))
@@ -244,19 +184,19 @@ def rescaled(sys, f):
 
 def test_normalize_scale():
     sys = ball_system_from_points([[0.0, 0.0], [4.0, 0.0]], [1.0, 1.5])
-    assert split_system(sys).scale == 0.25
+    assert split_system(sys.dist).scale == 0.25
 
     already = ball_system_from_points([[0.0], [1.0]], [0.5, 0.5])
-    assert split_system(already).scale == 1.0
+    assert split_system(already.dist).scale == 1.0
 
 
 def test_normalize_scale_errors():
     single = ball_system_from_points([[0.0]], [1.0])
     with pytest.raises(ValueError):
-        split_system(single)
+        split_system(single.dist)
     dup = ball_system_from_points([[0.0], [0.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
-        split_system(dup)
+        split_system(dup.dist)
 
 
 def test_normalize_preserves_validity():
@@ -267,7 +207,7 @@ def test_normalize_preserves_validity():
         sys = ball_system_from_points(pts, np.full(k, 2.0))
         if min_distance(sys) <= 0:
             continue
-        out = rescaled(sys, split_system(sys).scale)
+        out = rescaled(sys, split_system(sys.dist).scale)
         assert out.check_valid() == sys.check_valid()  # scale-invariant verdicts
         assert min_distance(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -278,7 +218,7 @@ def test_partition_examples():
     p2 = [1.5 * math.cos(1.4), 1.5 * math.sin(1.4)]
     p3 = [3.0, 0.0]
     sys = ball_system_from_points([z0, p1, p2, p3], [0.9] * 4)
-    split = split_system(sys)
+    split = split_system(sys.dist)
     assert split.pivot == (0, 1)
     assert split.near == (0, 1, 2)
     assert split.far == (3,)
@@ -286,14 +226,14 @@ def test_partition_examples():
 
 def test_partition_all_near():
     sys = ball_system_from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]], [1.0] * 3)
-    split = split_system(sys)
+    split = split_system(sys.dist)
     assert split.far == ()
     assert set(split.near) == {0, 1, 2}
 
 
 def test_partition_boundary_goes_far():
     sys = ball_system_from_points([[0.0], [1.0], [2.0]], [0.4] * 3)
-    assert split_system(sys).far == (2,)
+    assert split_system(sys.dist).far == (2,)
 
 
 def scalar_partition_and_cone(sys):
@@ -332,7 +272,7 @@ def test_partition_and_cone_separation_match_scalar_oracle():
         pts = rng.uniform(-3.0, 3.0, size=(k, n))
         sys = ball_system_from_points(pts, np.full(k, 0.5))
         scale, pivot, far, best = scalar_partition_and_cone(sys)
-        split = split_system(sys)
+        split = split_system(sys.dist)
         assert split.scale == scale
         assert split.pivot == pivot and split.far == far
         if best is None:
@@ -354,12 +294,26 @@ def test_partition_exhaustive_disjoint_idempotent():
         sys = ball_system_from_points(pts, np.full(k, 0.5))
         if min_distance(sys) < 1e-6:
             continue
-        split = split_system(sys)
+        split = split_system(sys.dist)
         assert sorted(split.near + split.far) == list(range(k))
         assert set(split.near) & set(split.far) == set()
-        again = split_system(rescaled(sys, split.scale))
+        again = split_system(rescaled(sys, split.scale).dist)
         assert again.scale == pytest.approx(1.0, abs=1e-12)
         assert (again.pivot, again.near, again.far) == (split.pivot, split.near, split.far)
+
+
+def test_split_reads_only_the_upper_triangle():
+    # the kernel's delta matrix carries arccos(z . z), not 0, on its
+    # diagonal; neither the diagonal nor the lower triangle reaches the split
+    rng = np.random.default_rng(99)
+    for _ in range(50):
+        k = int(rng.integers(2, 9))
+        pts = rng.uniform(-3, 3, size=(k, 2))
+        dist = ball_system_from_points(pts, np.full(k, 0.5)).dist
+        noisy = dist + np.tril(rng.uniform(0.0, 5.0, size=(k, k)))
+        assert split_system(noisy) == split_system(dist)
+    # a plain nested list is a matrix too
+    assert split_system([[0.0, 4.0], [4.0, 0.0]]).scale == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +474,7 @@ def far_pair_system(angle, radius=2.5):
 
 
 def test_verify_cone_separation_passes_wide_pair():
-    split = split_system(far_pair_system(1.2))
+    split = split_system(far_pair_system(1.2).dist)
     assert split.far == (2, 3)
     report = split.cone_separation
     assert report.passed
@@ -529,7 +483,7 @@ def test_verify_cone_separation_passes_wide_pair():
 
 
 def test_verify_cone_separation_fails_narrow_pair():
-    report = split_system(far_pair_system(0.5)).cone_separation
+    report = split_system(far_pair_system(0.5).dist).cone_separation
     assert not report.passed
     assert report.witness == (2, 3)
     assert report.min_aperture < report.threshold - report.tol
@@ -540,7 +494,7 @@ def test_verify_cone_separation_needs_far_balls():
     none_far = ball_system_from_points([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
     one_far = ball_system_from_points([[0.0], [1.0], [2.0]], [0.4] * 3)
     for sys, far in ((none_far, ()), (one_far, (2,))):
-        split = split_system(sys)
+        split = split_system(sys.dist)
         assert split.far == far
         assert split.cone_separation is None
         assert "cone_separation" not in split.to_json_dict()
@@ -594,7 +548,7 @@ def test_far_counts_and_cone_separation_on_valid_systems():
     checked_far = 0
 
     def check(fam, n):
-        split = split_system(to_ball_system(fam))
+        split = split_system(pair_margins(*cap_arrays(fam.caps))[0])
         assert len(split.far) <= far_bound(n)
         if len(split.far) < 2:
             return 0
@@ -704,7 +658,7 @@ def valid_far_pair_system(alpha, t):
 def test_valid_system_with_far_pair_passes_cone_check():
     sys = valid_far_pair_system(1.1, 1.2)
     assert sys.check_valid() == []
-    split = split_system(sys)
+    split = split_system(sys.dist)
     assert split.scale == pytest.approx(1.0, abs=1e-12)
     assert split.far == (2, 3)
     report = split.cone_separation
@@ -719,7 +673,7 @@ def test_valid_far_pair_below_full_cone_constant():
     # angle) is compared against the constant.
     sys = valid_far_pair_system(0.6, 1.05)
     assert sys.check_valid() == []
-    split = split_system(sys)
+    split = split_system(sys.dist)
     assert split.far == (2, 3)
     report = split.cone_separation
     assert report.min_angle < report.threshold  # below the full constant
