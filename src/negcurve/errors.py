@@ -16,15 +16,13 @@ class SignatureError(NegCurveError, ValueError):
     actually found.
     """
 
-    def __init__(self, inertia, message=None):
+    def __init__(self, inertia):
         self.inertia = tuple(inertia)
         n_pos, n_neg, n_zero = self.inertia
-        if message is None:
-            message = (
-                f"expected signature (1, rank-1), got "
-                f"{n_pos} positive / {n_neg} negative / {n_zero} zero eigenvalues"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"expected signature (1, rank-1), got "
+            f"{n_pos} positive / {n_neg} negative / {n_zero} zero eigenvalues"
+        )
 
 
 class DegenerateCapPairError(NegCurveError, ValueError):

@@ -172,16 +172,6 @@ class QuadraticLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def gram_array(self) -> np.ndarray:
-        """The Gram matrix as int64, for the floating-point path; the exact
-        predicates work on ``gram`` and accept any entry size."""
-        try:
-            return np.array(self.gram, dtype=np.int64)
-        except OverflowError as exc:
-            raise NumericalError(
-                "Gram entries exceed the int64 range of the floating-point path"
-            ) from exc
-
     def pairing(self, c1: Sequence[int], c2: Sequence[int]) -> int:
         """Exact intersection pairing c1^T G c2 in Python integers; a
         non-integral entry raises ``ValueError``."""
@@ -200,20 +190,12 @@ class QuadraticLattice:
 class StandardizingMap:
     """Change of basis M with M^T G M = diag(1, -1, ..., -1).
 
-    ``to_standard`` sends lattice coordinates to canonical coordinates:
+    ``inverse`` sends lattice coordinates to canonical coordinates:
     with w = M^{-1} c, the pairing satisfies w^T J w = c^T G c.
     """
 
     matrix: np.ndarray
     inverse: np.ndarray
-
-    def to_standard(self, coeffs) -> np.ndarray:
-        return self.inverse @ np.asarray(coeffs, dtype=float)
-
-    def residual(self, lat: "QuadraticLattice") -> float:
-        """Max-norm of M^T G M minus the canonical form."""
-        j = self.matrix.T @ lat.gram_array().astype(float) @ self.matrix
-        return float(np.max(np.abs(j - minkowski_matrix(lat.rank))))
 
 
 @lru_cache(maxsize=256)
@@ -224,9 +206,14 @@ def standardize(lat: QuadraticLattice) -> StandardizingMap:
     the positive eigenvalue first, then descending.  Eigenvector signs are
     fixed so the map is deterministic for a fixed Gram matrix; any two
     valid choices differ by an H-isometry, which every downstream
-    predicate is invariant under.
+    predicate is invariant under.  The Gram entries become doubles in one
+    correctly rounded step; :class:`NumericalError` if one is beyond the
+    double range or the max-norm residual exceeds STANDARDIZE_TOL.
     """
-    g = lat.gram_array().astype(float)
+    try:
+        g = np.array(lat.gram, dtype=float)
+    except OverflowError as exc:
+        raise NumericalError("Gram entries exceed the double range") from exc
     evals, evecs = np.linalg.eigh(g)
     # positive eigenvalue first, stable ties so diagonal input maps to identity
     order = np.argsort(-evals, kind="stable")
@@ -237,18 +224,19 @@ def standardize(lat: QuadraticLattice) -> StandardizingMap:
         lead = np.argmax(np.abs(col))
         if col[lead] < 0:
             evecs[:, k] = -col
-    m = evecs / np.sqrt(np.abs(evals))
-    # M^{-1} = J M^T G, avoiding a general inverse
-    inv = minkowski_matrix(lat.rank) @ m.T @ g
-    smap = StandardizingMap(matrix=m, inverse=inv)
+    j = minkowski_matrix(lat.rank)
+    # an eigenvalue that rounds to 0 gives inf, and the residual nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = evecs / np.sqrt(np.abs(evals))
+        residual = float(np.max(np.abs(m.T @ g @ m - j)))
     # the signature was verified exactly, so a large residual is a
     # floating-point failure of the map, not a bad input
-    residual = smap.residual(lat)
-    if residual > STANDARDIZE_TOL:
+    if not residual <= STANDARDIZE_TOL:
         raise NumericalError(
             f"standardization residual {residual:.3g} exceeded tolerance {STANDARDIZE_TOL:g}"
         )
-    return smap
+    # M^{-1} = J M^T G, avoiding a general inverse
+    return StandardizingMap(matrix=m, inverse=j @ m.T @ g)
 
 
 def embed_class(lat: QuadraticLattice, coeffs: Sequence[int]) -> np.ndarray:
@@ -257,15 +245,14 @@ def embed_class(lat: QuadraticLattice, coeffs: Sequence[int]) -> np.ndarray:
     The image w satisfies inner(w, w) = coeffs^T G coeffs, and all
     pairwise pairings are likewise preserved.
     """
-    c = np.asarray(coeffs)
-    if c.ndim != 1 or len(c) != lat.rank:
-        raise ValueError("class length must equal the lattice rank")
-    if not np.any(c):
-        raise ValueError("cannot embed the zero class")
     try:
-        c = c.astype(float)
+        c = np.array(coeffs, dtype=float)
     except OverflowError as exc:
         raise NumericalError(
             "class entries exceed the double range of the floating-point path"
         ) from exc
-    return standardize(lat).to_standard(c)
+    if c.ndim != 1 or len(c) != lat.rank:
+        raise ValueError("class length must equal the lattice rank")
+    if not np.any(c):
+        raise ValueError("cannot embed the zero class")
+    return standardize(lat).inverse @ c

@@ -54,6 +54,9 @@ FIT_HORIZON = 64
 #: guard band of the cone-separation check on the far-pair aperture
 CONE_TOL = 1e-6
 
+#: tie band of the pivot pair's distance; the lowest index pair wins a tie
+PIVOT_TIE_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # ball systems
@@ -294,18 +297,23 @@ def far_bound(n: int) -> int:
 @lru_cache(maxsize=None)
 def fit_constants() -> tuple[float, float]:
     """Envelope constants (u, v) with u * v^(n+1) >= total count for every
-    n up to FIT_HORIZON.
+    n up to FIT_HORIZON, exactly as rationals.
 
     v is the worst growth ratio of the far count (floored at 2, the near
-    count's own ratio); u then absorbs the finitely many prefactors.
+    count's own ratio); u then absorbs the finitely many prefactors.  Both
+    are fitted as fractions and reported as doubles rounded up.
     """
     ranks = range(1, FIT_HORIZON + 1)
     totals = [2 * (near_bound(k) + far_bound(k)) for k in ranks]
-    ratios = [far_bound(k + 1) / far_bound(k) for k in ranks[:-1]]
-    v = max(2.0, max(ratios))
+    ratios = [Fraction(far_bound(k + 1), far_bound(k)) for k in ranks[:-1]]
+    v = max(Fraction(2), *ratios)
     u = max(t / v ** (k + 1) for k, t in zip(ranks, totals))
+    # report each as the least double >= its fraction
+    nearest = [(float(q), q) for q in (u, v)]
+    u, v = (x if Fraction(x) >= q else math.nextafter(x, math.inf) for x, q in nearest)
     for k, t in zip(ranks, totals):
-        assert u * v ** (k + 1) >= t
+        if Fraction(u) * Fraction(v) ** (k + 1) < t:
+            raise NumericalError(f"envelope constants fall below the total at n = {k}")
     return u, v
 
 
@@ -437,7 +445,7 @@ def split_system(dist) -> SplitReport:
     # mirrored upper triangle: a zero diagonal, and each pair read once
     dist = (upper + upper.T) * scale
     d = dist[iu, ju]
-    p = np.flatnonzero(np.abs(d - np.min(d)) <= 1e-12)[0]
+    p = np.flatnonzero(np.abs(d - np.min(d)) <= PIVOT_TIE_TOL)[0]
     pivot = (int(iu[p]), int(ju[p]))
     d0 = dist[pivot[0]]
     far = np.flatnonzero(d0 >= 2.0)

@@ -1,6 +1,10 @@
 import ast
 import dataclasses
+import importlib
 import inspect
+import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -86,7 +90,9 @@ def test_public_defaulted_parameters_are_pinned():
         assert defaulted(fn.__name__, fn) == set()
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+PACKAGE = Path(negcurve.__file__).resolve().parent
 
 
 def _own_nodes(scope):
@@ -178,3 +184,56 @@ def test_failure_records_are_immutable_named_fields():
     assert cert["violations"]
     for record in [cert["worst"], *cert["violations"]]:
         assert type(record) is dict and list(record) == ["indices", "condition", "margin"]
+
+
+def _module_constants():
+    """``module.NAME`` for each public UPPERCASE name a package module
+    assigns at top level."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    yield f"{path.stem}.{target.id}"
+
+
+def _listed_constants() -> dict:
+    """{"module.NAME": value text} from README's list of guard bands,
+    precisions and limits."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("- Guard bands, precisions and limits")
+    end = text.index("\n- ", start)
+    return dict(re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*)` = ([^\s:;,]+)", text[start:end]))
+
+
+def _number(text):
+    """A listed value: an integer, a decimal, a ratio a/b or pi/b."""
+    num, _, den = text.partition("/")
+    value = math.pi if num == "pi" else Fraction(num)
+    return value / int(den) if den else value
+
+
+def test_readme_lists_every_module_constant():
+    listed = _listed_constants()
+    # the report schema is a name, not a guard band, precision or limit
+    assert sorted(set(_module_constants()) - {"cli.SCHEMA"} - set(listed)) == []
+    for key, text in listed.items():
+        module, name = key.split(".")
+        value = getattr(importlib.import_module(f"negcurve.{module}"), name)
+        assert float(_number(text)) == float(value), key
+
+
+def test_no_assert_statements_in_the_package():
+    # a check must not depend on the interpreter's -O flag
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

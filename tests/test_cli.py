@@ -308,11 +308,12 @@ def test_json_file_output_matches_stdout(tmp_path, capsys):
 
 # Documents the exit-code contract used to break on: a duplicate class,
 # a pair of pairing -2 and a class of norm +1 (valid JSON, invalid
-# family), a Gram entry above int64 (exact checks pass, the
-# floating-point path cannot take it), a Gram matrix of the right
-# signature whose floating-point standardization misses tolerance and a
-# valid pair whose cap angle rounds to 0; and a valid family, which breaks
-# it only through an output path that cannot be written.
+# family), Gram entries above int64 (embedded) and beyond the double
+# range (exact checks pass, the floating-point path cannot take it), a
+# Gram matrix of the right signature whose floating-point
+# standardization misses tolerance and a valid pair whose cap angle
+# rounds to 0; and a valid family, which breaks it only through an
+# output path that cannot be written.
 HARD_DOCS = {
     "valid-rank-3": {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
@@ -334,8 +335,17 @@ HARD_DOCS = {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -10**20]],
         "curves": [[0, 1, 0], [0, 0, 1]],
     },
+    "gram-beyond-double": {
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -10**400]],
+        "curves": [[0, 1, 0]],
+    },
     "standardize-residual": {
         "gram": [[10**8, 10**8 + 1], [10**8 + 1, 10**8]],
+        "curves": [[1, -1]],
+    },
+    # as doubles both rows are 2^62 * (1, 1), a singular matrix
+    "gram-rounds-singular": {
+        "gram": [[2**62, 2**62 + 1], [2**62 + 1, 2**62]],
         "curves": [[1, -1]],
     },
     "class-beyond-double": {
@@ -367,11 +377,17 @@ HARD_DOCS = {
         ("negative-pairing", "bound --file", 1, ""),
         ("positive-class", "bound --file", 1, ""),
         ("gram-above-int64", "validate", 0, ""),
-        ("gram-above-int64", "embed", 3, "numerical failure: Gram entries exceed"),
-        ("gram-above-int64", "bound --file", 3, "numerical failure: Gram entries exceed"),
+        ("gram-above-int64", "embed", 0, ""),
+        ("gram-above-int64", "bound --file", 0, ""),
+        ("gram-beyond-double", "validate", 0, ""),
+        ("gram-beyond-double", "embed", 3, "numerical failure: Gram entries exceed the double range"),
+        ("gram-beyond-double", "bound --file", 3, "numerical failure: Gram entries exceed the double range"),
         ("standardize-residual", "validate", 0, ""),
         ("standardize-residual", "embed", 3, "numerical failure: standardization residual"),
         ("standardize-residual", "bound --file", 3, "numerical failure: standardization residual"),
+        ("gram-rounds-singular", "validate", 0, ""),
+        ("gram-rounds-singular", "embed", 3, "numerical failure: standardization residual nan"),
+        ("gram-rounds-singular", "bound --file", 3, "numerical failure: standardization residual nan"),
         ("class-beyond-double", "validate", 3, "numerical failure: class pairings exceed"),
         ("class-beyond-double", "embed", 3, "numerical failure: class pairings exceed"),
         ("class-beyond-double", "bound --file", 3, "numerical failure: class pairings exceed"),
@@ -401,6 +417,14 @@ def test_hard_documents_exit_codes(tmp_path, doc, command, code, stderr):
         assert len(lines) == 1 and lines[0].startswith(stderr)
     else:
         assert lines == []
+
+
+def test_embed_above_int64_reports_the_exact_norms(tmp_path, capsys):
+    path = write_doc(tmp_path, HARD_DOCS["gram-above-int64"])
+    assert main(["embed", path]) == 0
+    classes = json.loads(capsys.readouterr().out)["outputs"]["classes"]
+    assert [rec["norm"] for rec in classes] == [-1, -10**20]
+    assert [rec["region"] for rec in classes] == ["cylinder", "cylinder"]
 
 
 @pytest.mark.parametrize("doc", ["duplicate-class", "negative-pairing", "positive-class"])

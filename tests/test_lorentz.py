@@ -122,7 +122,7 @@ def test_standardize_identity_on_canonical_form():
 def test_standardize_hyperbolic_plane():
     lat = QuadraticLattice([[0, 1], [1, 0]])
     smap = standardize(lat)
-    j = smap.matrix.T @ lat.gram_array().astype(float) @ smap.matrix
+    j = smap.matrix.T @ np.array(lat.gram, dtype=float) @ smap.matrix
     assert np.allclose(j, minkowski_matrix(2), atol=1e-9)
 
 
@@ -137,7 +137,7 @@ def test_standardize_random_lattices():
         found += 1
         lat = QuadraticLattice(g)
         smap = standardize(lat)
-        j = smap.matrix.T @ lat.gram_array().astype(float) @ smap.matrix
+        j = smap.matrix.T @ np.array(lat.gram, dtype=float) @ smap.matrix
         assert np.max(np.abs(j - minkowski_matrix(dim))) < 1e-7
 
 
@@ -149,13 +149,28 @@ def test_standardize_deterministic():
     assert np.array_equal(first, second)
 
 
-def test_gram_array_above_int64_is_numerical_error():
+def test_gram_above_int64_embeds_with_exact_norms():
     lat = QuadraticLattice([[1, 0, 0], [0, -1, 0], [0, 0, -10**20]])
-    assert lat.norm((0, 0, 1)) == -10**20  # the exact path is unaffected
-    with pytest.raises(NumericalError):
-        lat.gram_array()
-    with pytest.raises(NumericalError):
+    e1, e2 = embed_class(lat, (0, 1, 0)), embed_class(lat, (0, 0, 1))
+    assert inner(e1, e1) == lat.norm((0, 1, 0)) == -1
+    # 10^20 is a double exactly, so the float norm is the exact one
+    assert inner(e2, e2) == lat.norm((0, 0, 1)) == -10**20
+    assert inner(e1, e2) == 0.0
+
+
+def test_gram_beyond_double_is_numerical_error():
+    lat = QuadraticLattice([[1, 0, 0], [0, -1, 0], [0, 0, -10**400]])
+    assert lat.norm((0, 0, 1)) == -10**400  # the exact path is unaffected
+    with pytest.raises(NumericalError, match="Gram entries exceed the double range"):
         embed_class(lat, (0, 1, 0))
+
+
+def test_gram_that_rounds_singular_is_numerical_error(recwarn):
+    # signature (1, 1) holds exactly, but both rows round to 2^62 * (1, 1)
+    lat = QuadraticLattice([[2**62, 2**62 + 1], [2**62 + 1, 2**62]])
+    with pytest.raises(NumericalError, match="residual nan"):
+        standardize(lat)
+    assert not recwarn.list
 
 
 def test_standardize_residual_failure_is_numerical_error():
