@@ -32,7 +32,9 @@ time-like).  ``equivalence_probe`` measures all of this empirically.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -247,11 +249,30 @@ def validate_family(fam: Union[CurveFamily, ModelFamily]) -> ValidationReport:
     return _validate_lattice(fam) if isinstance(fam, CurveFamily) else _validate_model(fam)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while bulk records are built.
+
+    Each record of atoms is a new tracked tuple, so tens of thousands of
+    them trigger collections, full ones included, that find nothing to
+    free: the records hold no reference cycles.  The caller's collector
+    state is restored on exit, also when the body raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _verdicts(indices, conditions, margins) -> list[PairVerdict]:
     """The :class:`PairVerdict` records of three columns.  tuple.__new__
     fills each record from zip's tuple in C, without a Python-level call
     per record."""
-    return list(map(tuple.__new__, repeat(PairVerdict), zip(indices, conditions, margins)))
+    with _collector_paused():
+        return list(map(tuple.__new__, repeat(PairVerdict), zip(indices, conditions, margins)))
 
 
 def _report(kind, names, pairs, elem_margin, elem_ok, margins, ok, checked) -> ValidationReport:
@@ -507,15 +528,19 @@ def _probe_block(a, b, n1, n2):
     # model level: normalize onto the cylinder
     s1 = np.sqrt(_coordinate_sum(a[1:] * a[1:]))
     s2 = np.sqrt(_coordinate_sum(b[1:] * b[1:]))
-    theta1 = np.arccos(np.clip(a[0] / s1, -1.0, 1.0))
-    theta2 = np.arccos(np.clip(b[0] / s2, -1.0, 1.0))
-    delta = np.arccos(np.clip(cross / (s1 * s2), -1.0, 1.0))
+    c1 = np.clip(a[0] / s1, -1.0, 1.0)
+    c2 = np.clip(b[0] / s2, -1.0, 1.0)
+    cd = np.clip(cross / (s1 * s2), -1.0, 1.0)
+    # cos(delta) - cos(theta1) cos(theta2) from the cosines at hand, not
+    # through a cos(arccos(x)) round trip
+    val_ii = cd - c1 * c2
+    # in place: the cosines are not read again
+    theta1, theta2, delta = (np.arccos(c, out=c) for c in (c1, c2, cd))
 
     # projection classifies with the relative guard band of sign_class, so
     # near-null vectors file as boundary points and fail (i); any mismatch
     # with the strict sign in (I) lies inside the band by construction
     verdict_i = (n1 < -TOL_BOUNDARY * e1) & (n2 < -TOL_BOUNDARY * e2)
-    val_ii = np.cos(delta) - np.cos(theta1) * np.cos(theta2)
     val_iii = theta1 + theta2 - delta
 
     values = {"theta1": theta1, "theta2": theta2, "delta": delta,

@@ -44,7 +44,13 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .conditions import TOL_BOUNDARY, ModelFamily, cap_arrays, pair_margins
+from .conditions import (
+    TOL_BOUNDARY,
+    ModelFamily,
+    _collector_paused,
+    cap_arrays,
+    pair_margins,
+)
 from .errors import InputError, NumericalError
 from .klein import CapRep
 
@@ -113,9 +119,10 @@ class BallSystem:
         ])
         p, which = np.divmod(np.flatnonzero(bad), 2)
         kinds = ("center-inside", "disjoint-closures")
-        return list(
-            zip(iu[p].tolist(), ju[p].tolist(), map(kinds.__getitem__, which.tolist()))
-        )
+        with _collector_paused():
+            return list(
+                zip(iu[p].tolist(), ju[p].tolist(), map(kinds.__getitem__, which.tolist()))
+            )
 
 
 def ball_system_from_points(points, radii) -> BallSystem:
@@ -178,7 +185,8 @@ def reduce_ii_star(fam: ModelFamily) -> list[tuple[tuple[int, int], bool, float]
     i, j = np.nonzero(~np.eye(k, dtype=bool))
     m = margin[i, j]
     ok = m >= -TOL_BOUNDARY
-    return list(zip(zip(i.tolist(), j.tolist()), ok.tolist(), m.tolist()))
+    with _collector_paused():
+        return list(zip(zip(i.tolist(), j.tolist()), ok.tolist(), m.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from negcurve.conditions import (
 from negcurve.errors import DegenerateCapPairError
 from negcurve.klein import CapRep, Region, cap_of, point_of, project
 from negcurve.lorentz import QuadraticLattice, embed_class, signature
+from negcurve.packing import ball_system_from_points, hemisphere_filter, reduce_ii_star
 from negcurve.search import SearchParams, _compatibility_matrix, candidate_caps, compatible
 
 RNG = np.random.default_rng(2024)
@@ -763,6 +765,38 @@ def test_report_records_match_sorted_oracle(monkeypatch):
             assert type(f.condition) is str and type(f.margin) is float
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_record_builders_restore_the_collector_state(enabled):
+    # the bulk record builders pause the cyclic collector; the caller's
+    # state, on or off, must come back unchanged
+    rng = np.random.default_rng(85)
+    lattice = bulk_lattice_family(84, 4, 60)
+    model = ModelFamily(mixed_caps(rng, 3, 40))
+    points = rng.normal(size=(30, 3))
+    system = ball_system_from_points(points, rng.uniform(0.1, 2.0, 30))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        calls = [
+            lambda: validate_family(lattice).failures,
+            lambda: validate_family(model).failures,
+            lambda: reduce_ii_star(hemisphere_filter(model)),
+            system.check_valid,
+        ]
+        for call in calls:
+            assert call()
+            assert gc.isenabled() == enabled
+        with conditions._collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() == enabled
+        with pytest.raises(ZeroDivisionError):
+            with conditions._collector_paused():
+                1 / 0
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 def test_verdicts_invariant_under_scaling_and_isometry():
     # scaling classes by positive integers and pushing through a random
     # standardization must not change any verdict
@@ -947,6 +981,35 @@ def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed,
     report = equivalence_probe(n, samples, seed=seed)
     assert report.to_json_dict() == expected.to_json_dict()
     assert probe_digest(report) == probe_digest(expected)
+
+
+def round_trip_ii(values):
+    """The probe's (ii) value as it was computed before it kept the clipped
+    cosines: cos(delta) - cos(theta1) cos(theta2), through arccos and back."""
+    return np.cos(values["delta"]) - np.cos(values["theta1"]) * np.cos(values["theta2"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_probe_ii_from_cosines_matches_round_trip(n, seed):
+    # the (ii) verdicts and boundary masks equal the round trip's, and the
+    # values differ by far less than the guard band
+    samples = 100_000
+    rng = np.random.default_rng(seed)
+    v1, q1 = conditions._sample_spacelike(rng, samples, n)
+    v2, q2 = conditions._sample_spacelike(rng, samples, n)
+    worst = 0.0
+    for lo in range(0, samples, conditions._PROBE_BLOCK):
+        rows = slice(lo, lo + conditions._PROBE_BLOCK)
+        values, pairs = conditions._probe_block(v1[:, rows], v2[:, rows], q1[rows], q2[rows])
+        _, verdict, m_II, m_ii = pairs["II/ii"]
+        old = round_trip_ii(values)
+        assert np.array_equal(verdict, old <= conditions.TOL_BOUNDARY)
+        near = np.minimum(np.abs(m_II), np.abs(m_ii)) <= conditions.TOL_BOUNDARY
+        old_near = np.minimum(np.abs(m_II), np.abs(old)) <= conditions.TOL_BOUNDARY
+        assert np.array_equal(near, old_near)
+        worst = max(worst, float(np.max(np.abs(-m_ii - old))))
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("rows", [1, 5, 1000])
