@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateCapPairError, InputError, NumericalError
 from .klein import CapRep
-from .lorentz import QuadraticLattice, _as_ints
+from .lorentz import DEFAULT_SIGN_TOL, QuadraticLattice, _as_ints
 
 #: symmetric guard band for all non-strict model-level inequalities
 TOL_BOUNDARY = 1e-9
@@ -540,7 +540,7 @@ def _probe_block(a, b, n1, n2):
     # projection classifies with the relative guard band of sign_class, so
     # near-null vectors file as boundary points and fail (i); any mismatch
     # with the strict sign in (I) lies inside the band by construction
-    verdict_i = (n1 < -TOL_BOUNDARY * e1) & (n2 < -TOL_BOUNDARY * e2)
+    verdict_i = (n1 < -DEFAULT_SIGN_TOL * e1) & (n2 < -DEFAULT_SIGN_TOL * e2)
     val_iii = theta1 + theta2 - delta
 
     values = {"theta1": theta1, "theta2": theta2, "delta": delta,

@@ -157,7 +157,9 @@ class QuadraticLattice:
     """An integer lattice given by a symmetric Gram matrix of signature (1, rank-1).
 
     The signature is verified exactly at construction; a failure raises
-    :class:`SignatureError` carrying the inertia actually found.
+    :class:`SignatureError` carrying the inertia actually found.  The rank
+    must be at least 2 (``ValueError`` otherwise): by the Hodge index
+    theorem a rank-1 lattice carries no negative class.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -167,6 +169,11 @@ class QuadraticLattice:
         inertia = signature(self.gram)
         if inertia != (1, self.rank - 1, 0):
             raise SignatureError(inertia)
+        if self.rank < 2:
+            raise ValueError(
+                f"rank must be >= 2, got {self.rank}: a rank-1 lattice has no "
+                "negative class"
+            )
 
     @property
     def rank(self) -> int:

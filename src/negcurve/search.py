@@ -406,16 +406,12 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
 
     BBMC (San Segundo et al. 2011, after MCS, Tomita et al. 2010): the
     vertices are renumbered by non-increasing degree, the incumbent starts
-    as the greedy clique in that order, and each node colors its candidates
-    greedily and branches, highest color first, only on those whose color
-    can still beat the incumbent.  Rows are Python-int bitsets, since numpy
-    shifts overflow past bit 63.
-
-    ``known`` is a clique the caller already has (ValueError if it is
-    not).  Subtrees that cannot beat ``len(known) - 1`` are pruned too.
-    The coloring and the branch order do not depend on that floor, and
-    the first clique of maximum size in branch order is never pruned, so
-    the engine returns the same clique with or without ``known``.
+    as the greedy clique in that order or ``known``, a clique the caller
+    already has (ValueError if it is not), whichever is larger, and each
+    node colors its candidates greedily and branches, highest color first,
+    only on those whose color can still beat the incumbent.  The incumbent
+    comes back unless a larger clique exists.  Rows are Python-int
+    bitsets, since numpy shifts overflow past bit 63.
     """
     k = len(adj)
     known = np.asarray(known, dtype=int)
@@ -429,20 +425,18 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     adj = adj[np.ix_(order, order)]
     best = _greedy_clique(adj, range(k))
-    # the size a subtree must beat: the incumbent's, or len(known) - 1 and
-    # not len(known), so that when the hint is already maximum the search
-    # still reaches its own first maximum clique
-    lim = max(len(best), len(known) - 1)
+    if len(known) > len(best):
+        best = np.argsort(order)[known].tolist()
     adj = [
         int.from_bytes(row.tobytes(), "little")
         for row in np.packbits(adj, axis=1, bitorder="little")
     ]
 
     def expand(r: list[int], p: int):
-        nonlocal best, lim
-        # a vertex of color <= floor cannot lift r past lim: it is colored,
-        # stays in p for the subtrees, but is never branched on
-        floor = lim - len(r)
+        nonlocal best
+        # a vertex of color <= floor cannot lift r past the incumbent: it is
+        # colored, stays in p for the subtrees, but is never branched on
+        floor = len(best) - len(r)
         branch = []
         color = 0
         uncolored = p
@@ -457,7 +451,7 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
                 if color > floor:
                     branch.append((low, v, color))
         for low, v, bound in reversed(branch):
-            if len(r) + bound <= lim:
+            if len(r) + bound <= len(best):
                 return
             r.append(v)
             sub = p & adj[v]
@@ -465,7 +459,6 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
                 expand(r, sub)
             elif len(r) > len(best):
                 best = list(r)
-                lim = max(lim, len(r))
             r.pop()
             p ^= low
 
@@ -479,8 +472,8 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
     Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
     :func:`greedy_max` there).  The candidates alone decide the result;
     ``params`` is not read.  The greedy clique in :func:`greedy_max`'s
-    order seeds the engine's pruning floor; it does not change which
-    clique comes back.
+    order is the engine's incumbent when it beats the engine's own greedy
+    clique, and comes back unless a larger clique exists.
     """
     if len(candidates) > MAX_CLIQUE_CUTOFF:
         raise ValueError(

@@ -362,7 +362,8 @@ HARD_DOCS = {
         "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
         "curves": [[10**8, 10**8, 1], [10**8, 10**8, -1]],
     },
-    # rank 1 gives n = 0, which has no counting bound
+    # signature (1, 0), but a rank-1 lattice has no negative class (and
+    # n = 0 no counting bound), so the lattice itself is refused
     "rank-1": {"gram": [[1]], "curves": [[1]]},
 }
 
@@ -397,7 +398,11 @@ HARD_DOCS = {
         ("cap-angle-rounds-to-zero", "validate", 0, ""),
         ("cap-angle-rounds-to-zero", "embed", 3, "numerical failure: a space-like vector rounds"),
         ("cap-angle-rounds-to-zero", "bound --file", 3, "numerical failure: a space-like vector rounds"),
-        ("rank-1", "bound --file", 2, "error: n must be >= 1"),
+        ("rank-1", "validate", 2, "error: gram matrix rejected: rank must be >= 2"),
+        ("rank-1", "embed", 2, "error: gram matrix rejected: rank must be >= 2"),
+        ("rank-1", "embed --force", 2, "error: gram matrix rejected: rank must be >= 2"),
+        ("rank-1", "embed --force --figure-data {tmp}/figures", 2, "error: gram matrix rejected: rank must be >= 2"),
+        ("rank-1", "bound --file", 2, "error: gram matrix rejected: rank must be >= 2"),
         ("valid-rank-3", "validate", 0, ""),
         # --n must agree with the document's rank - 1
         ("valid-rank-3", "bound --n 2 --file", 0, ""),

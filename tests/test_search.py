@@ -518,11 +518,11 @@ def planted_graph(rng):
     return adj | adj.T
 
 
-def test_known_clique_does_not_change_the_result_on_random_graphs():
+def test_known_clique_is_the_incumbent_on_random_graphs():
     # the digest of the plain results was recorded before the engine took
     # a known clique
     rng = np.random.default_rng(2024)
-    plain, several = [], 0
+    plain, several, beaten = [], 0, 0
     for _ in range(240):
         adj = planted_graph(rng)
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
@@ -531,17 +531,25 @@ def test_known_clique_does_not_change_the_result_on_random_graphs():
         maxima = maximum_cliques(masks)
         assert sorted(ref) in maxima
         several += len(maxima) > 1
-        # prefixes of the returned clique and of another maximum clique,
-        # in both orders, of every size from 0 to omega
-        for clique in (ref, maxima[0], maxima[-1][::-1]):
-            for size in range(len(clique) + 1):
-                assert _max_clique_bitset(adj, clique[:size]) == ref
+        # the engine's own first incumbent: the greedy clique in degree order
+        degree_greedy = _greedy_clique(adj, np.argsort(-adj.sum(axis=1), kind="stable"))
+        for clique in maxima:
+            # every prefix, in both orders, of every size from 0 to omega
+            for ordered in (clique, clique[::-1]):
+                for size in range(len(clique) + 1):
+                    assert sorted(_max_clique_bitset(adj, ordered[:size])) in maxima
+            # a maximum clique that beats the degree-order incumbent is the
+            # incumbent, and nothing larger exists, so it comes back
+            if len(clique) > len(degree_greedy):
+                beaten += 1
+                assert sorted(_max_clique_bitset(adj, clique[::-1])) == clique
     assert several >= 120
+    assert beaten >= 500
     assert sha(plain) == "4cd025c013c57423cf12c1df7674717cff21d8f6f45dd4a182be857845600a90"
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_known_clique_does_not_change_the_result_on_candidate_sets(seed):
+def test_known_clique_keeps_the_maximum_size_on_candidate_sets(seed):
     rng = np.random.default_rng(seed)
     cand3 = candidate_caps(
         SearchParams(n=3, candidate_grid=0.3, random_candidates=64), rng
@@ -550,11 +558,13 @@ def test_known_clique_does_not_change_the_result_on_candidate_sets(seed):
     lines = [cap_of(project(c)) for c in del_pezzo_lines(4 + seed)]
     for caps in (cand3, cand8, lines):
         adj = _compatibility_matrix(caps)
+        masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
         ref = _max_clique_bitset(adj)
         greedy = _greedy_clique(adj, _greedy_order(caps))
         for clique in (greedy, ref[::-1]):
             for size in range(len(clique) + 1):
-                assert _max_clique_bitset(adj, clique[:size]) == ref
+                found = _max_clique_bitset(adj, clique[:size])
+                assert len(found) == len(ref) and is_clique(masks, found)
 
 
 def test_known_must_be_a_clique():
