@@ -275,9 +275,15 @@ def far_cap_measure(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def far_bound(n: int) -> int:
-    """Count of pairwise-separated far directions: the exact ceiling of the
-    reciprocal cap measure at radius arccos(7/8), half the exclusion-cone
-    aperture.
+    """The exact ceiling of the reciprocal measure of a cap of radius
+    arccos(7/8), half the exclusion-cone aperture, on S^(n-1).
+
+    It bounds how many disjoint caps of that radius fit, so how many
+    directions can be pairwise 2*arccos(7/8) apart.  Far directions are
+    only known to be pairwise arccos(7/8) apart, and more of those fit:
+    12 equally spaced directions on S^1 (far_bound(2) = 7) and the 20
+    dodecahedron vertices on S^2 (far_bound(3) = 16).  So the far term is
+    not proven.
 
     Odd n uses the rational measure.  Even n evaluates it with at least
     FAR_GUARD_DIGITS digits past the integer part of the reciprocal, and

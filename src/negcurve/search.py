@@ -406,12 +406,12 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
 
     BBMC (San Segundo et al. 2011, after MCS, Tomita et al. 2010): the
     vertices are renumbered by non-increasing degree, the incumbent starts
-    as the greedy clique in that order or ``known``, a clique the caller
-    already has (ValueError if it is not), whichever is larger, and each
-    node colors its candidates greedily and branches, highest color first,
-    only on those whose color can still beat the incumbent.  The incumbent
-    comes back unless a larger clique exists.  Rows are Python-int
-    bitsets, since numpy shifts overflow past bit 63.
+    as ``known``, a clique the caller already has (ValueError if it is
+    not; the empty clique by default), and each node colors its candidates
+    greedily and branches, highest color first, only on those whose color
+    can still beat the incumbent.  The incumbent comes back unless a
+    larger clique exists.  Rows are Python-int bitsets, since numpy shifts
+    overflow past bit 63.
     """
     k = len(adj)
     known = np.asarray(known, dtype=int)
@@ -424,9 +424,7 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
     # renumbered graph is vertex order[i]
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     adj = adj[np.ix_(order, order)]
-    best = _greedy_clique(adj, range(k))
-    if len(known) > len(best):
-        best = np.argsort(order)[known].tolist()
+    best = np.argsort(order)[known].tolist()
     adj = [
         int.from_bytes(row.tobytes(), "little")
         for row in np.packbits(adj, axis=1, bitorder="little")
@@ -472,8 +470,8 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
     Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
     :func:`greedy_max` there).  The candidates alone decide the result;
     ``params`` is not read.  The greedy clique in :func:`greedy_max`'s
-    order is the engine's incumbent when it beats the engine's own greedy
-    clique, and comes back unless a larger clique exists.
+    order is the engine's incumbent, and comes back unless a larger clique
+    exists.
     """
     if len(candidates) > MAX_CLIQUE_CUTOFF:
         raise ValueError(

@@ -3,11 +3,15 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import del_pezzo_lines
 from negcurve import (
     DegenerateCapPairError,
     InputError,
@@ -661,3 +665,131 @@ def test_malformed_documents_exit_2(tmp_path, capsys, doc, command):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert reason.format(path=path) in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# README's command examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The `negcurve ...` lines of the first fenced block under "## Command
+    line", without their comments, and the JSON document below them."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    document = section.split("```json", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("negcurve ")], document
+
+
+def readme_invocations():
+    """Each example once without its bracketed options, and once with each
+    of them."""
+    out = []
+    for line in readme_examples()[0]:
+        options = re.findall(r"\[([^\]]+)\]", line)
+        plain = re.sub(r"\[[^\]]+\]", "", line).split()[1:]
+        out.append(plain)
+        out.extend(plain + option.split() for option in options)
+    return out
+
+
+def test_readme_lists_the_command_examples():
+    assert len(readme_invocations()) == 8
+    assert json.loads(readme_examples()[1])["gram"] == [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+@pytest.mark.parametrize("argv", readme_invocations(), ids=" ".join)
+def test_readme_command_examples_run(tmp_path, capsys, argv):
+    (tmp_path / "family.json").write_text(readme_examples()[1])
+    places = {"family.json": str(tmp_path / "family.json"), "DIR": str(tmp_path / "figures")}
+    code = main([places.get(word, word) for word in argv])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == "negcurve/run-report/v1"
+
+
+# ---------------------------------------------------------------------------
+# the lattice basis: exact reports do not depend on it, the bound pipeline
+# does (ROADMAP item 2)
+# ---------------------------------------------------------------------------
+
+def unimodular(seed, dim, steps=8):
+    """A random integer matrix U of determinant +/-1, from ``steps``
+    elementary row additions, and its exact inverse."""
+    rng = np.random.default_rng(seed)
+    u = np.eye(dim, dtype=np.int64)
+    inv = np.eye(dim, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(dim, size=2, replace=False)
+        sign = int(rng.choice([-1, 1]))
+        u[i] += sign * u[j]
+        inv[:, j] -= sign * inv[:, i]
+    return u, inv
+
+
+def in_basis(tmp_path, classes, seed):
+    """The document of ``classes`` (canonical coordinates of I_{1,n}) in
+    the basis U of ``unimodular(seed)``, or in the canonical basis when
+    ``seed`` is None: Gram U^T J U and classes U^-1 c."""
+    dim = len(classes[0])
+    j = np.diag([1] + [-1] * (dim - 1)).astype(np.int64)
+    u, inv = (np.eye(dim, dtype=np.int64),) * 2 if seed is None else unimodular(seed, dim)
+    assert (u @ inv == np.eye(dim)).all()
+    doc = {
+        "gram": (u.T @ j @ u).tolist(),
+        "curves": [(inv @ np.asarray(c, dtype=np.int64)).tolist() for c in classes],
+    }
+    return write_doc(tmp_path, doc, f"basis-{seed}.json")
+
+
+def outputs_of(capsys, argv):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)["outputs"]
+
+
+BASES = [None, 0, 1, 2]
+
+#: families in canonical coordinates, with their `validate` exit codes
+BASIS_FAMILIES = {
+    "del-pezzo-4": (del_pezzo_lines(4), 0),
+    "del-pezzo-5": (del_pezzo_lines(5), 0),
+    "del-pezzo-6": (del_pezzo_lines(6), 0),
+    # 56 lines, and the 28 pairs that meet twice fail
+    "del-pezzo-7": (del_pezzo_lines(7), 1),
+    # a repeated line and the time-like class H
+    "repeat-and-time-like": (del_pezzo_lines(4) + [del_pezzo_lines(4)[0], [1, 0, 0, 0, 0]], 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BASIS_FAMILIES))
+def test_exact_reports_do_not_depend_on_the_basis(tmp_path, capsys, family):
+    # inputs_digest hashes the basis, so the outputs are compared, not stdout
+    classes, exit_code = BASIS_FAMILIES[family]
+    validated, embedded = [], []
+    for seed in BASES:
+        path = in_basis(tmp_path, classes, seed)
+        code, outputs = outputs_of(capsys, ["validate", path])
+        assert code == exit_code
+        validated.append(outputs)
+        code, outputs = outputs_of(capsys, ["embed", "--force", path])
+        assert code == 0
+        embedded.append([(c["norm"], c["in_cylinder"]) for c in outputs["classes"]])
+    assert all(v == validated[0] for v in validated)
+    assert all(e == embedded[0] for e in embedded)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the pipeline's time axis is an eigenvector of the Gram matrix (ROADMAP item 2)",
+)
+@pytest.mark.parametrize("seed", BASES[1:])
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_bound_pipeline_does_not_depend_on_the_basis(tmp_path, capsys, r, seed):
+    classes = del_pezzo_lines(r)
+    code, canonical = outputs_of(capsys, ["bound", "--file", in_basis(tmp_path, classes, None)])
+    assert code == 0
+    code, scrambled = outputs_of(capsys, ["bound", "--file", in_basis(tmp_path, classes, seed)])
+    assert code == 0
+    assert scrambled["pipeline"] == canonical["pipeline"]

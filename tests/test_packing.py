@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
+    FAR_COS,
     FIT_HORIZON,
     Ball,
     BallSystem,
@@ -399,6 +401,41 @@ def reference_far_bound(n):
         if abs(recip - nearest) < mpmath.mpf(10) ** -40:
             return int(nearest)
         return int(mpmath.ceil(recip))
+
+
+def far_codes():
+    """{n: unit directions on S^(n-1)}: 12 equally spaced ones on S^1
+    (2*pi/12 = 0.5236 apart) and the 20 dodecahedron vertices on S^2
+    (0.7297 apart), both pairwise more than arccos(7/8) = 0.5054 apart."""
+    circle = [(math.cos(math.pi * k / 6), math.sin(math.pi * k / 6)) for k in range(12)]
+    phi = (1 + math.sqrt(5)) / 2
+    dodecahedron = [tuple(v) for v in itertools.product((-1, 1), repeat=3)]
+    for a, b in itertools.product((-1 / phi, 1 / phi), (-phi, phi)):
+        dodecahedron += [(0, a, b), (a, b, 0), (b, 0, a)]
+    return {
+        2: np.array(circle),
+        3: np.array(dodecahedron) / math.sqrt(3),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_codes_are_pairwise_far_apart(n):
+    code = far_codes()[n]
+    assert code.shape == ({2: 12, 3: 20}[n], n)
+    assert np.allclose(np.linalg.norm(code, axis=1), 1)
+    cos = code @ code.T
+    np.fill_diagonal(cos, -1)
+    assert cos.max() < float(FAR_COS)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="far_bound counts caps of radius arccos(7/8), that is directions "
+    "2*arccos(7/8) apart, not arccos(7/8) apart (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_bound_holds_far_codes(n):
+    assert far_bound(n) >= len(far_codes()[n])
 
 
 def test_far_bound_matches_60_digit_reference():
