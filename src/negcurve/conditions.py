@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -447,8 +447,9 @@ class ProbeReport:
 #: condition pair in sample order
 PROBE_EXAMPLES = 10
 
-#: sample pairs the probe evaluates together; the fixed block keeps its
-#: temporaries small, and every row gets the same arithmetic as alone
+#: sample rows the probe draws, and pairs it evaluates, together; the
+#: fixed block keeps its temporaries small, and every row gets the same
+#: arithmetic as alone
 _PROBE_BLOCK = 1 << 14
 
 #: numpy adds fewer terms than this one after another, more pairwise
@@ -474,29 +475,46 @@ def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
 
 def _sample_spacelike(
     rng: np.random.Generator, count: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Gaussian vectors in R^{n+1} conditioned on a negative H-norm.
 
-    Returns the vectors as an (n + 1, count) column array and their
-    H-norms.
+    Yields ``count`` vectors in sample order, as (n + 1, rows) column
+    chunks of at most ``_PROBE_BLOCK`` rows, each with its H-norms.  Each
+    round draws max(count - filled, 64) rows and keeps the first negative
+    ones it needs.  A round is drawn ``_PROBE_BLOCK`` rows at a time,
+    which reads the same stream as one draw, since numpy's Generator fills
+    an array element by element; the rows left after the last kept one
+    are drawn all the same, so the stream after the generator is done
+    does not depend on the block.
     """
-    rows = np.empty((count, n + 1))
-    norms = np.empty(count)
     filled = 0
     while filled < count:
-        batch = rng.normal(size=(max(count - filled, 64), n + 1))
-        q = np.empty(len(batch))
-        for lo in range(0, len(batch), _PROBE_BLOCK):
-            cols = batch[lo : lo + _PROBE_BLOCK].T
-            q[lo : lo + _PROBE_BLOCK] = cols[0] ** 2 - _coordinate_sum(cols[1:] ** 2)
-        keep = np.flatnonzero(q < 0)[: count - filled]
-        take = len(keep)
-        # the row numbers in keep are in range, so "clip" only skips the
-        # bounds check, and with it a buffered copy of the rows
-        np.take(batch, keep, axis=0, out=rows[filled : filled + take], mode="clip")
-        norms[filled : filled + take] = q[keep]
-        filled += take
-    return np.ascontiguousarray(rows.T), norms
+        left = max(count - filled, 64)
+        while left:
+            chunk = rng.normal(size=(min(left, _PROBE_BLOCK), n + 1))
+            left -= len(chunk)
+            if filled == count:
+                continue
+            cols = chunk.T
+            q = cols[0] ** 2 - _coordinate_sum(cols[1:] ** 2)
+            keep = np.flatnonzero(q < 0)[: count - filled]
+            if len(keep):
+                filled += len(keep)
+                yield np.take(cols, keep, axis=1), q[keep]
+
+
+def _sample_set(rng: np.random.Generator, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of :func:`_sample_spacelike` as one (n + 1, count) column array
+    and its H-norms."""
+    vectors = np.empty((n + 1, count))
+    norms = np.empty(count)
+    lo = 0
+    for cols, q in _sample_spacelike(rng, count, n):
+        rows = slice(lo, lo + len(q))
+        vectors[:, rows] = cols
+        norms[rows] = q
+        lo = rows.stop
+    return vectors, norms
 
 
 def _probe_block(a, b, n1, n2):
@@ -563,8 +581,11 @@ def equivalence_probe(
     Lattice-level verdicts are evaluated directly from inner products of
     the raw vectors; model-level verdicts from the cap coordinates of the
     projected points.  Both sides use scale-invariant margins so the
-    boundary band is meaningful across samples.  The pairs are evaluated
-    in fixed blocks of rows; the report does not depend on the block size.
+    boundary band is meaningful across samples.  Only the first sample
+    set is held, as an (n + 1, samples) array with its H-norms; the second
+    is drawn after it in chunks of at most ``_PROBE_BLOCK`` rows, and each
+    chunk is evaluated against the first set's matching rows as soon as
+    it is drawn.  The report does not depend on the block size.
     Raises :class:`MemoryError` at once when a (samples, n + 1) array of
     doubles is beyond what numpy can address.
     """
@@ -579,16 +600,17 @@ def equivalence_probe(
             f"a {samples} x {n + 1} array of doubles is beyond numpy's size limit"
         )
     rng = np.random.default_rng(seed)
-    v1, q1 = _sample_spacelike(rng, samples, n)
-    v2, q2 = _sample_spacelike(rng, samples, n)
+    v1, q1 = _sample_set(rng, samples, n)
 
     disagreements = {"I/i": 0, "II/ii": 0, "III/iii": 0}
     boundary = dict(disagreements)
     found: dict[str, list[dict]] = {name: [] for name in disagreements}
     big_cap = iii_without_III = III_without_iii = 0
-    for lo in range(0, samples, _PROBE_BLOCK):
-        rows = slice(lo, lo + _PROBE_BLOCK)
-        values, pairs = _probe_block(v1[:, rows], v2[:, rows], q1[rows], q2[rows])
+    lo = 0
+    for v2, q2 in _sample_spacelike(rng, samples, n):
+        rows = slice(lo, lo + len(q2))
+        lo = rows.stop
+        values, pairs = _probe_block(v1[:, rows], v2, q1[rows], q2)
         for name, (va, vb, ma, mb) in pairs.items():
             diff = va != vb
             near = np.minimum(np.abs(ma), np.abs(mb)) <= TOL_BOUNDARY

@@ -547,12 +547,12 @@ def test_bound_envelope_overflow_is_numerical_failure(argv, code):
 
 
 def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
-    # the sampler's allocation fails as numpy's would, without asking the
-    # machine for the ~32 TB that 10^12 samples at n = 3 take
+    # the held sample set's allocation fails as numpy's would, without
+    # asking the machine for the ~32 TB that 10^12 samples at n = 3 take
     def no_memory(rng, count, n):
         raise MemoryError(f"Unable to allocate {count * (n + 1) * 8} bytes")
 
-    monkeypatch.setattr(conditions, "_sample_spacelike", no_memory)
+    monkeypatch.setattr(conditions, "_sample_set", no_memory)
     code = main(["probe", "--samples", "1000000000000"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

@@ -2,7 +2,9 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -996,12 +998,13 @@ def test_probe_ii_from_cosines_matches_round_trip(n, seed):
     # values differ by far less than the guard band
     samples = 100_000
     rng = np.random.default_rng(seed)
-    v1, q1 = conditions._sample_spacelike(rng, samples, n)
-    v2, q2 = conditions._sample_spacelike(rng, samples, n)
+    v1, q1 = conditions._sample_set(rng, samples, n)
     worst = 0.0
-    for lo in range(0, samples, conditions._PROBE_BLOCK):
-        rows = slice(lo, lo + conditions._PROBE_BLOCK)
-        values, pairs = conditions._probe_block(v1[:, rows], v2[:, rows], q1[rows], q2[rows])
+    lo = 0
+    for v2, q2 in conditions._sample_spacelike(rng, samples, n):
+        rows = slice(lo, lo + len(q2))
+        lo = rows.stop
+        values, pairs = conditions._probe_block(v1[:, rows], v2, q1[rows], q2)
         _, verdict, m_II, m_ii = pairs["II/ii"]
         old = round_trip_ii(values)
         assert np.array_equal(verdict, old <= conditions.TOL_BOUNDARY)
@@ -1009,7 +1012,76 @@ def test_probe_ii_from_cosines_matches_round_trip(n, seed):
         old_near = np.minimum(np.abs(m_II), np.abs(old)) <= conditions.TOL_BOUNDARY
         assert np.array_equal(near, old_near)
         worst = max(worst, float(np.max(np.abs(-m_ii - old))))
+    assert lo == samples
     assert worst <= 1e-14
+
+
+def whole_round_sample(rng, count, n):
+    """The sampler as it was before it streamed: each round drawn as one
+    (rows, n + 1) batch, the kept rows copied out and the whole set
+    transposed at the end.  The reference for the chunked sampler."""
+    rows = np.empty((count, n + 1))
+    norms = np.empty(count)
+    filled = 0
+    while filled < count:
+        batch = rng.normal(size=(max(count - filled, 64), n + 1))
+        q = np.empty(len(batch))
+        for lo in range(0, len(batch), conditions._PROBE_BLOCK):
+            cols = batch[lo : lo + conditions._PROBE_BLOCK].T
+            q[lo : lo + conditions._PROBE_BLOCK] = (
+                cols[0] ** 2 - conditions._coordinate_sum(cols[1:] ** 2)
+            )
+        keep = np.flatnonzero(q < 0)[: count - filled]
+        take = len(keep)
+        np.take(batch, keep, axis=0, out=rows[filled : filled + take], mode="clip")
+        norms[filled : filled + take] = q[keep]
+        filled += take
+    return np.ascontiguousarray(rows.T), norms
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, conditions._PROBE_BLOCK])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 2**14 - 1, 2**14, 2**14 + 1, 50_000])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_chunked_sampler_reads_the_whole_round_stream(monkeypatch, n, count, block):
+    # bit-equal vectors and norms, and the generator left in the same state,
+    # so that a second set drawn after the first is unchanged too
+    seed = 1000 * n + count
+    expected_rng = np.random.default_rng(seed)
+    expected_v, expected_q = whole_round_sample(expected_rng, count, n)
+    monkeypatch.setattr(conditions, "_PROBE_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    chunks = list(conditions._sample_spacelike(rng, count, n))
+    assert all(0 < len(q) <= block and v.shape == (n + 1, len(q)) for v, q in chunks)
+    v = np.concatenate([v for v, _ in chunks], axis=1)
+    q = np.concatenate([q for _, q in chunks])
+    assert np.array_equal(v.view(np.int64), expected_v.view(np.int64))
+    assert np.array_equal(q.view(np.int64), expected_q.view(np.int64))
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def test_probe_memory_holds_one_sample_set():
+    # one (n + 1, samples) set with its norms, plus block temporaries; the
+    # second set is evaluated as it is drawn and never held whole
+    n, samples = 3, 10**6
+    tracemalloc.start()
+    try:
+        equivalence_probe(n, samples, seed=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 2) * samples * 8 + 8 * 2**20
+
+
+BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+
+
+@pytest.mark.parametrize("variant", [0, 15])
+def test_probe_matches_the_benchmark_digest(variant):
+    # the benchmark's pairs workload checks each probe report against these
+    # digests (n = 3, 10^6 samples, seed 5000 + variant)
+    refs = json.loads(BENCH_REFS.read_text())["pairs"]
+    report = equivalence_probe(3, 10**6, seed=5000 + variant)
+    assert probe_digest(report) == refs[str(variant)]["probe_sha256"]
 
 
 @pytest.mark.parametrize("rows", [1, 5, 1000])
