@@ -170,18 +170,19 @@ def _compatible(z1, t1, z2, t2) -> np.ndarray:
     return ~coincident_feet(z1, z2) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
 
 
-def _symmetrized(ok: np.ndarray) -> np.ndarray:
-    """The symmetric matrix in which the verdict of the pair i < j in
-    ``ok`` decides both entries; the diagonal is false."""
+def _adjacency(z, theta, fixed=None) -> np.ndarray:
+    """:func:`compatible` over all pairs of the caps (z[i], theta[i]), as a
+    symmetric (k, k) boolean matrix with a false diagonal; the verdict of
+    the pair i < j decides both entries.  ``fixed``, when given, holds the
+    verdicts of the first len(fixed) caps among themselves."""
+    k0 = 0 if fixed is None else len(fixed)
+    # the upper triangle: the fixed block and the columns of the rest
+    ok = np.zeros((len(z), len(z)), dtype=bool)
+    if fixed is not None:
+        ok[:k0, :k0] = fixed
+    ok[:, k0:] = _compatible(z, theta, z[k0:], theta[k0:])
     ok = np.triu(ok, 1)
     return ok | ok.T
-
-
-def _compatibility_matrix(caps: list[CapRep]) -> np.ndarray:
-    """:func:`compatible` over all pairs, as a symmetric (k, k) boolean
-    matrix with a false diagonal."""
-    z, theta = cap_arrays(caps)
-    return _symmetrized(_compatible(z, theta, z, theta))
 
 
 def certify(caps: ModelFamily) -> Certificate:
@@ -301,19 +302,20 @@ def _grid_directions(n: int, grid: float) -> list[tuple[float, ...]]:
     return []
 
 
-def _stratum(params: SearchParams) -> list[CapRep]:
-    """The fixed candidates: cross-polytope axes and the snapped grid, at
-    theta = pi/2.  The grid holds some axes exactly, so exact comparison
-    dedupes them."""
+def _stratum(params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
+    """The feet and radii of the fixed candidates: cross-polytope axes and
+    the snapped grid, at theta = pi/2.  The grid holds some axes exactly,
+    so exact comparison dedupes them."""
     n = params.n
-    feet = dict.fromkeys(_cross_polytope(n) + _grid_directions(n, params.candidate_grid))
-    return [CapRep(z=z, theta=math.pi / 2) for z in feet]
+    feet = list(dict.fromkeys(_cross_polytope(n) + _grid_directions(n, params.candidate_grid)))
+    return np.array(feet, dtype=float), np.full(len(feet), math.pi / 2)
 
 
-def _random_caps(params: SearchParams, rng: np.random.Generator) -> list[CapRep]:
-    """Uniform random feet, half with theta = pi/2 and half with a uniform
-    radius in (0, pi/2].  Not deduped: coincident feet are never
-    compatible, so a repeated foot cannot enter a clique twice."""
+def _random_feet(params: SearchParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``random_candidates`` uniform random feet, as a (count, n) array,
+    and their radii: half pi/2 and half uniform in (0, pi/2].  Not
+    deduped: coincident feet are never compatible, so a repeated foot
+    cannot enter a clique twice."""
     count, n = params.random_candidates, params.n
     pts = rng.normal(size=(count, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -321,19 +323,23 @@ def _random_caps(params: SearchParams, rng: np.random.Generator) -> list[CapRep]
     thetas = np.concatenate(
         [np.full(half, math.pi / 2), rng.uniform(0.0, math.pi / 2, size=count - half)]
     )
-    thetas = np.clip(thetas, 1e-6, math.pi / 2)
-    return [CapRep(z=tuple(z), theta=t) for z, t in zip(pts.tolist(), thetas.tolist())]
+    return pts, np.clip(thetas, 1e-6, math.pi / 2)
+
+
+def _caps(z: np.ndarray, theta: np.ndarray) -> list[CapRep]:
+    return [CapRep(z=tuple(foot), theta=t) for foot, t in zip(z.tolist(), theta.tolist())]
 
 
 def candidate_caps(params: SearchParams, rng: np.random.Generator) -> list[CapRep]:
     """Cross-polytope axes and a uniform grid at theta = pi/2, plus random
     directions paired with random radii in (0, pi/2]."""
-    return _stratum(params) + _random_caps(params, rng)
+    return _caps(*_stratum(params)) + _caps(*_random_feet(params, rng))
 
 
-def _greedy_order(caps: list[CapRep]) -> list[int]:
-    # larger caps constrain most, so place them first; feet break ties
-    return sorted(range(len(caps)), key=lambda i: (-caps[i].theta, caps[i].z))
+def _greedy_order(z: np.ndarray, theta: np.ndarray) -> list[int]:
+    # larger caps constrain most, so place them first; feet break ties,
+    # first coordinate first, and equal keys keep their index order
+    return np.lexsort((*z.T[::-1], -theta)).tolist()
 
 
 def _greedy_clique(adj: np.ndarray, order) -> list[int]:
@@ -349,9 +355,10 @@ def _greedy_clique(adj: np.ndarray, order) -> list[int]:
     return chosen
 
 
-def _config_key(caps: list[CapRep]) -> str:
+def _config_key(z: np.ndarray, theta: np.ndarray) -> str:
     payload = sorted(
-        ([round(x, 12) for x in cap.z], round(cap.theta, 12)) for cap in caps
+        ([round(x, 12) for x in foot], round(t, 12))
+        for foot, t in zip(z.tolist(), theta.tolist())
     )
     blob = json.dumps(payload, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -359,41 +366,31 @@ def _config_key(caps: list[CapRep]) -> str:
 
 def greedy_max(params: SearchParams) -> SearchResult:
     """Best greedy clique over ``restarts`` independently seeded candidate
-    draws; deterministic for a fixed seed (the reduction is max by size
-    with certificate-hash tie-break).
+    draws; deterministic for a fixed seed (the reduction is max by size,
+    ties broken by the larger sha256 of the clique's caps rounded to 12
+    digits).
 
     Raises :class:`NumericalError` if the result exceeds the counting
     bound ``total_bound(n).total``, which no valid family can, and before
     any search if ``total_bound(n)`` does.
     """
     limit = total_bound(params.n).total
-    stratum = _stratum(params)
-    k0 = len(stratum)
-    z0, theta0 = cap_arrays(stratum)
+    z0, theta0 = _stratum(params)
     # the stratum block is the same in every restart
     fixed = _compatible(z0, theta0, z0, theta0)
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
-        drawn = _random_caps(params, np.random.default_rng(seq))
-        caps = stratum + drawn
-        zr, tr = cap_arrays(drawn)
-        # the stratum's arrays are fixed; no draws give (0, 0) feet
-        z = np.concatenate([z0, zr.reshape(len(drawn), params.n)])
-        theta = np.concatenate([theta0, tr])
-        # the upper triangle of the whole matrix: the stratum block and
-        # the columns of the random caps
-        ok = np.zeros((len(caps), len(caps)), dtype=bool)
-        ok[:k0, :k0] = fixed
-        ok[:, k0:] = _compatible(z, theta, z[k0:], theta[k0:])
-        adj = _symmetrized(ok)
-        picked = [caps[i] for i in _greedy_clique(adj, _greedy_order(caps))]
-        outcomes.append((len(picked), _config_key(picked), picked))
-    size, _, best_caps = max(outcomes, key=lambda o: (o[0], o[1]))
+        zr, tr = _random_feet(params, np.random.default_rng(seq))
+        z, theta = np.concatenate([z0, zr]), np.concatenate([theta0, tr])
+        picked = _greedy_clique(_adjacency(z, theta, fixed), _greedy_order(z, theta))
+        z, theta = z[picked], theta[picked]
+        outcomes.append((len(picked), _config_key(z, theta), z, theta))
+    size, _, z, theta = max(outcomes, key=lambda o: o[:2])
     if size > limit:
         raise NumericalError(
             f"search produced {size} caps, above the counting bound {limit}"
         )
-    return _certified_result(best_caps, "greedy")
+    return _certified_result(_caps(z, theta), "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +475,8 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
             f"{len(candidates)} candidates exceed the exact-search cutoff "
             f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
         )
-    adj = _compatibility_matrix(candidates)
-    known = _greedy_clique(adj, _greedy_order(candidates))
+    z, theta = cap_arrays(candidates)
+    adj = _adjacency(z, theta)
+    known = _greedy_clique(adj, _greedy_order(z, theta))
     chosen = sorted(_max_clique_bitset(adj, known))
     return _certified_result([candidates[i] for i in chosen], "exact")

@@ -118,10 +118,20 @@ def _bench_imports(tree):
                     yield scope, node.module, alias.name, alias.asname or alias.name
 
 
+def _dotted_read(node):
+    """(name, [attr, ...]) for a read ``name.attr.attr...``, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return (node.id, attrs[::-1]) if isinstance(node, ast.Name) and attrs else None
+
+
 def _bench_missing_names(sources) -> list[str]:
     """The names that ``sources`` import from the package, or read as
-    attributes of a package submodule they import in the same function
-    (or module body), and that the package does not have."""
+    dotted attributes of an object (module, function or class) they
+    import in the same function or module body, and that the package
+    does not have."""
     missing = []
     for source in sources:
         tree = ast.parse(source)
@@ -132,37 +142,51 @@ def _bench_missing_names(sources) -> list[str]:
             except ImportError:
                 missing.append(f"{module}.{name}")
                 continue
-            if not inspect.ismodule(namespace[name]):
-                continue
             # a nested function sees its enclosing scope's imports too
             for node in ast.walk(scope):
-                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                        and isinstance(node.value, ast.Name) and node.value.id == alias
-                        and not hasattr(namespace[name], node.attr)):
-                    missing.append(f"{module}.{name}.{node.attr}")
+                read = (_dotted_read(node) if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load) else None)
+                if read is None or read[0] != alias:
+                    continue
+                obj, path = namespace[name], f"{module}.{name}"
+                for attr in read[1]:
+                    path += f".{attr}"
+                    if not hasattr(obj, attr):
+                        missing.append(path)
+                        break
+                    obj = getattr(obj, attr)
     return sorted(set(missing))
 
 
 def test_bench_imports_exist():
     # the benchmark imports these names from the package and reads these
-    # submodule attributes; one that is deleted or renamed fails here
+    # attributes of them; one that is deleted or renamed fails here
     # rather than in a benchmark run
     sources = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert any(_bench_imports(ast.parse(source)) for source in sources)
     assert _bench_missing_names(sources) == []
-    # the check sees a renamed attribute of an imported submodule, and
-    # reads of a local name that shadows a submodule elsewhere are not
-    # taken for the submodule
+    # the check sees a renamed attribute anywhere in a chain of reads from
+    # an imported submodule or function, and reads of a local name that
+    # shadows a submodule elsewhere are not taken for the submodule
     probe = (
         "def clear():\n"
-        "    from negcurve import packing\n"
+        "    from negcurve import lorentz, packing\n"
         "    packing.fit_constants_renamed.cache_clear()\n"
+        "    packing.far_bound.cache_clear()\n"
+        "    lorentz.standardize.cache_clear_renamed()\n"
+        "def klein():\n"
+        "    from negcurve.packing import fit_constants\n"
+        "    fit_constants.cache_clear_renamed()\n"
         "def pairs():\n"
         "    def packing():\n"
         "        return 0\n"
         "    packing.not_an_attribute_of_the_module\n"
     )
-    assert _bench_missing_names([probe]) == ["negcurve.packing.fit_constants_renamed"]
+    assert _bench_missing_names([probe]) == [
+        "negcurve.lorentz.standardize.cache_clear_renamed",
+        "negcurve.packing.fit_constants.cache_clear_renamed",
+        "negcurve.packing.fit_constants_renamed",
+    ]
 
 
 def test_failure_records_are_immutable_named_fields():

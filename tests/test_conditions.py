@@ -24,7 +24,7 @@ from negcurve.errors import DegenerateCapPairError
 from negcurve.klein import CapRep, Region, cap_of, point_of, project
 from negcurve.lorentz import QuadraticLattice, embed_class, signature
 from negcurve.packing import ball_system_from_points, hemisphere_filter, reduce_ii_star
-from negcurve.search import SearchParams, _compatibility_matrix, candidate_caps, compatible
+from negcurve.search import SearchParams, _adjacency, candidate_caps, compatible
 
 RNG = np.random.default_rng(2024)
 
@@ -267,7 +267,7 @@ def test_coincident_random_feet_are_degenerate():
             validate_family(ModelFamily([a, b]))
         assert not compatible(a, b)
     caps = [cap for pair in pairs[:100] for cap in pair]
-    adj = _compatibility_matrix(caps)
+    adj = _adjacency(*cap_arrays(caps))
     assert not any(adj[2 * i, 2 * i + 1] for i in range(100))
 
 

@@ -11,14 +11,14 @@ import pytest
 from conftest import del_pezzo_lines
 from negcurve import search
 from negcurve.cli import main
-from negcurve.conditions import ModelFamily
+from negcurve.conditions import ModelFamily, cap_arrays
 from negcurve.errors import NumericalError
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import total_bound
 from negcurve.search import (
     MAX_GRID_DIRECTIONS,
     SearchParams,
-    _compatibility_matrix,
+    _adjacency,
     _grid_directions,
     _grid_size,
     _greedy_clique,
@@ -245,27 +245,45 @@ def scalar_graph(caps):
     return compat
 
 
+def adjacency(caps):
+    return _adjacency(*cap_arrays(caps))
+
+
+#: equal radii, and feet that differ only by the sign of a zero
+#: coordinate: the greedy order ties them and keeps their index order
+SIGNED_ZERO_TIES = [
+    CapRep(z=(-0.0, 1.0), theta=0.5), CapRep(z=(1.0, 0.0), theta=0.5),
+    CapRep(z=(0.0, 1.0), theta=0.5), CapRep(z=(1.0, -0.0), theta=HALF),
+    CapRep(z=(1.0, 0.0), theta=HALF), CapRep(z=(0.0, -1.0), theta=0.5),
+]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("grid", [math.pi / 12, math.pi / 10, math.pi / 8, 0.3])
 def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
     params = SearchParams(n=n, candidate_grid=grid)
-    caps = candidate_caps(params, np.random.default_rng(17))
-    compat = scalar_graph(caps)
-    adj = _compatibility_matrix(caps)
-    assert adj.dtype == bool and adj.tolist() == compat
+    for caps in (candidate_caps(params, np.random.default_rng(17)), SIGNED_ZERO_TIES):
+        compat = scalar_graph(caps)
+        adj = adjacency(caps)
+        assert adj.dtype == bool and adj.tolist() == compat
 
-    chosen = []
-    for idx in _greedy_order(caps):
-        if all(compat[idx][j] for j in chosen):
-            chosen.append(idx)
-    assert _greedy_clique(adj, _greedy_order(caps)) == chosen
+        # the array order is the sort by decreasing radius, then foot
+        order = _greedy_order(*cap_arrays(caps))
+        assert order == sorted(range(len(caps)), key=lambda i: (-caps[i].theta, caps[i].z))
+        chosen = []
+        for idx in order:
+            if all(compat[idx][j] for j in chosen):
+                chosen.append(idx)
+        assert _greedy_clique(adj, order) == chosen
+    # the last list is SIGNED_ZERO_TIES
+    assert order == [3, 4, 5, 0, 2, 1]
 
 
 def test_max_clique_bitset_past_bit_63():
     # the first cap faces feet 64..69 across the circle, so its row reaches
     # past column 63 (foot 35 coincides with it)
     caps = [circle_cap(math.pi)] + [circle_cap(2 * math.pi * t / 70) for t in range(1, 70)]
-    adj = _compatibility_matrix(caps)
+    adj = adjacency(caps)
     compat = scalar_graph(caps)
     assert all(compat[0][j] for j in range(64, 70)) and not compat[0][35]
     assert adj.tolist() == compat
@@ -289,7 +307,7 @@ def test_compatible_agrees_with_the_matrix_on_a_bench_style_set():
         SearchParams(n=3, candidate_grid=0.3, random_candidates=64),
         np.random.default_rng(101),
     )[:256:2]
-    adj = _compatibility_matrix(caps)
+    adj = adjacency(caps)
     for i, j in itertools.combinations(range(len(caps)), 2):
         assert compatible(caps[i], caps[j]) == adj[i, j]
 
@@ -300,17 +318,25 @@ def test_compatible_agrees_with_the_matrix_on_a_bench_style_set():
 ])
 def test_greedy_max_assembles_the_whole_compatibility_matrix(monkeypatch, n, grid, count):
     # each restart joins the stratum block, built once, to the random
-    # caps' columns; the result must be the matrix of the whole list
+    # caps' columns; the result must be the matrix of the whole list, and
+    # the list the one candidate_caps draws from the restart's seed
     seen = []
-    monkeypatch.setattr(search, "_greedy_order", lambda caps: seen.append(caps) or _greedy_order(caps))
+    monkeypatch.setattr(
+        search, "_greedy_order", lambda z, theta: seen.append((z, theta)) or _greedy_order(z, theta)
+    )
 
     def clique(adj, order):
-        assert adj.dtype == bool and np.array_equal(adj, _compatibility_matrix(seen[-1]))
+        assert adj.dtype == bool and np.array_equal(adj, _adjacency(*seen[-1]))
         return _greedy_clique(adj, order)
 
     monkeypatch.setattr(search, "_greedy_clique", clique)
-    greedy_max(SearchParams(n=n, seed=n + count, restarts=3, candidate_grid=grid, random_candidates=count))
+    params = SearchParams(n=n, seed=n + count, restarts=3, candidate_grid=grid, random_candidates=count)
+    greedy_max(params)
     assert len(seen) == 3
+    for (z, theta), seq in zip(seen, np.random.SeedSequence(params.seed).spawn(3)):
+        ref_z, ref_theta = cap_arrays(candidate_caps(params, np.random.default_rng(seq)))
+        assert z.shape == ref_z.shape and z.tobytes() == ref_z.tobytes()
+        assert theta.shape == ref_theta.shape and theta.tobytes() == ref_theta.tobytes()
 
 
 def test_mixed_dimensions_are_refused_plainly():
@@ -323,7 +349,7 @@ def test_mixed_dimensions_are_refused_plainly():
 
 def test_compatibility_excludes_coincident_feet():
     caps = [circle_cap(0.0), circle_cap(HALF), CapRep(z=(1.0, 0.0), theta=0.3)]
-    adj = _compatibility_matrix(caps)
+    adj = adjacency(caps)
     assert not adj[0, 2] and not adj[2, 0]
     assert adj[0, 1] and adj[1, 0]
 
@@ -552,10 +578,10 @@ def test_known_clique_keeps_the_maximum_size_on_candidate_sets(seed):
     cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
     lines = [cap_of(project(c)) for c in del_pezzo_lines(4 + seed)]
     for caps in (cand3, cand8, lines):
-        adj = _compatibility_matrix(caps)
+        adj = adjacency(caps)
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
         ref = _max_clique_bitset(adj)
-        greedy = _greedy_clique(adj, _greedy_order(caps))
+        greedy = _greedy_clique(adj, _greedy_order(*cap_arrays(caps)))
         for clique in (greedy, ref[::-1]):
             for size in range(len(clique) + 1):
                 found = _max_clique_bitset(adj, clique[:size])
@@ -580,7 +606,7 @@ def test_max_clique_bitset_matches_color_order_oracle_on_candidate_sets(seed):
     cand8 = candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
     for caps in (cand3, cand8):
         assert len(caps) == 256
-        adj = _compatibility_matrix(caps)
+        adj = adjacency(caps)
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
         clique = _max_clique_bitset(adj)
         assert is_clique(masks, clique)
