@@ -42,10 +42,11 @@ from .errors import (
     NegCurveError,
     NumericalError,
 )
-from .klein import Region, _project, cap_of, figure_streams
+from .klein import Region, _project, cap_of
 from .lorentz import QuadraticLattice, embed_class
-from .packing import hemisphere_filter, split_system, total_bound
-from .search import SearchParams, greedy_max
+
+# the commands that run packing and search import them, so a cold
+# validate, embed or probe loads neither of them, nor mpmath
 
 SCHEMA = "negcurve/run-report/v1"
 
@@ -192,6 +193,8 @@ def cmd_embed(args):
     records, caps = _embed_records(fam)
     outputs = {"classes": records, "validated": validation.overall}
     if args.figure_data:
+        from .klein import figure_streams
+
         if fam.lattice.rank != 3:
             raise InputError("figure data is only emitted for rank-3 documents (n = 2)")
         out_dir = Path(args.figure_data)
@@ -209,6 +212,8 @@ def cmd_embed(args):
 
 
 def cmd_bound(args):
+    from .packing import hemisphere_filter, split_system, total_bound
+
     if args.file is None and args.n is None:
         raise InputError("bound needs --n or --file")
     outputs = {}
@@ -246,6 +251,8 @@ def _given(args, *names) -> dict:
 
 
 def cmd_search(args):
+    from .search import SearchParams, greedy_max
+
     params = SearchParams(**_given(args, "n", "seed", "restarts", "candidate_grid"))
     result = greedy_max(params)
     outputs = result.to_json_dict()

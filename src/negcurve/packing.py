@@ -41,7 +41,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .conditions import (
@@ -53,6 +52,9 @@ from .conditions import (
 )
 from .errors import InputError, NumericalError
 from .klein import CapRep
+
+# mpmath costs a cold process ~30 ms, so only the functions that use it
+# import it: far_bound for even n, cap_fraction and _half_betainc
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
@@ -229,9 +231,12 @@ def far_cone_angle() -> float:
 FAR_GUARD_DIGITS = 30
 
 
-def _half_betainc(n: int, sin2) -> mpmath.mpf:
+def _half_betainc(n: int, sin2):
     """I_{sin^2 alpha}((n-1)/2, 1/2) / 2, the measure of a cap of angular
-    radius alpha <= pi/2 on S^(n-1) (Li 2011), at the working precision."""
+    radius alpha <= pi/2 on S^(n-1) (Li 2011), as an mpf at the working
+    precision."""
+    import mpmath
+
     return mpmath.betainc(
         mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, sin2, regularized=True
     ) / 2
@@ -247,6 +252,8 @@ def cap_fraction(n: int, alpha: float) -> float:
     if n == 1:
         # S^0 is two points; a cap of radius < pi is a single point
         return 0.5 if alpha < math.pi else 1.0
+    import mpmath
+
     with mpmath.workdps(30):
         # sin^2 is symmetric about pi/2; a cap past it is the complement
         half = _half_betainc(n, mpmath.sin(mpmath.mpf(alpha)) ** 2)
@@ -259,18 +266,21 @@ def far_cap_measure(n: int) -> Fraction:
 
     With u = cos t the measure is int_c^1 (1-u^2)^k du over
     int_{-1}^1 (1-u^2)^k du, k = (n-3)/2, a ratio of polynomials in
-    c = 7/8.
+    c = 7/8.  Both antiderivatives, sum_j (-1)^j C(k, j) u^(2j+1)/(2j+1)
+    at u = 1 and u = c, are summed as integers over their common
+    denominator lcm(1, 3, ..., 2k+1) * 8^(2k+1).
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     k = (n - 3) // 2
-    coef = [Fraction((-1) ** j * math.comb(k, j), 2 * j + 1) for j in range(k + 1)]
-
-    def antiderivative(u: Fraction) -> Fraction:
-        return sum(a * u ** (2 * j + 1) for j, a in enumerate(coef))
-
-    top = antiderivative(Fraction(1))
-    return (top - antiderivative(FAR_COS)) / (2 * top)
+    p, q = FAR_COS.numerator, FAR_COS.denominator
+    lcm = math.lcm(*range(1, 2 * k + 2, 2))
+    whole = cut = 0
+    for j in range(k + 1):
+        term = (-1) ** j * math.comb(k, j) * (lcm // (2 * j + 1))
+        whole += term * q ** (2 * k + 1)
+        cut += term * p ** (2 * j + 1) * q ** (2 * (k - j))
+    return Fraction(whole - cut, 2 * whole)
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +305,8 @@ def far_bound(n: int) -> int:
         return 2
     if n % 2 == 1:
         return math.ceil(1 / far_cap_measure(n))
+    import mpmath
+
     # the reciprocal grows like (8/sqrt(15))^n: about 0.32 n integer digits
     with mpmath.workdps(n // 2 + FAR_GUARD_DIGITS):
         cos = mpmath.mpf(FAR_COS.numerator) / FAR_COS.denominator

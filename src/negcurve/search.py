@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .conditions import (
@@ -36,12 +35,14 @@ from .errors import InputError, NumericalError
 from .klein import CapRep
 from .packing import total_bound
 
+# mpmath costs a cold process ~30 ms, so only certify imports it
+
 #: decimal digits used when re-verifying certificates
 CERTIFY_DPS = 60
 
 #: certificates reject margins below this (absorbs working-precision
 #: residue on exact-boundary pairs)
-CERTIFY_FLOOR = mpmath.mpf("-1e-30")
+CERTIFY_FLOOR = -1e-30
 
 #: the double closest to pi/2; certificates read it as the exact right
 #: angle, since the extremal stratum theta = pi/2 is exact by construction
@@ -197,6 +198,8 @@ def certify(caps: ModelFamily) -> Certificate:
             valid=True, digits=CERTIFY_DPS, min_margin=math.inf, worst=None,
             violations=(),
         )
+    import mpmath
+
     entries: list[PairVerdict] = []
     with mpmath.workdps(CERTIFY_DPS):
         lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
@@ -215,8 +218,7 @@ def certify(caps: ModelFamily) -> Certificate:
                 m_iii = thetas[i] + thetas[j] - delta
                 entries.append(PairVerdict((i, j), "ii", float(m_ii)))
                 entries.append(PairVerdict((i, j), "iii", float(m_iii)))
-    floor = float(CERTIFY_FLOOR)
-    violations = tuple(e for e in entries if e.margin < floor)
+    violations = tuple(e for e in entries if e.margin < CERTIFY_FLOOR)
     worst = min(entries, key=lambda e: e.margin)
     return Certificate(
         valid=not violations,

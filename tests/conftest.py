@@ -1,5 +1,8 @@
 import itertools
+import json
 import os
+import subprocess
+import sys
 
 
 def pytest_configure(config):
@@ -21,3 +24,18 @@ def del_pezzo_lines(r):
             if d * d - sum(x * x for x in m) == -1 and 3 * d - sum(m) == 1:
                 lines.append([d, *(-x for x in m)])
     return lines
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The package submodules, numpy and mpmath that a fresh interpreter
+    has loaded after it runs ``code``."""
+    script = (
+        f"{code}\n"
+        "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.startswith('negcurve.') or m in ('numpy', 'mpmath')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import modules_loaded_by
 import negcurve
 from negcurve.conditions import positive_combination_witness
 from negcurve.klein import figure_streams
@@ -57,6 +58,24 @@ def test_public_names_are_pinned():
     namespace = {}
     exec("from negcurve import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_public_names_resolve_lazily_to_their_submodules():
+    # one table lists each submodule's names; it alone builds __all__
+    table = [(module, name) for module, names in negcurve._EXPORTS.items() for name in names]
+    assert sorted(name for _, name in table) == negcurve.__all__
+    for module, name in table:
+        assert getattr(negcurve, name) is getattr(importlib.import_module(f"negcurve.{module}"), name)
+    assert set(negcurve.__all__) | set(negcurve._EXPORTS) <= set(dir(negcurve))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        negcurve.no_such_name
+    # a fresh process reaches the submodules through the package alone
+    loaded = modules_loaded_by(
+        "import negcurve\n"
+        "negcurve.packing.total_bound\n"
+        "from negcurve import lorentz, search\n"
+    )
+    assert {"negcurve.packing", "negcurve.lorentz", "negcurve.search"} <= loaded
 
 
 def defaulted(name, fn):
@@ -261,3 +280,52 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _top_level_imports(source: str) -> set[str]:
+    """The absolute names a package module imports outside its functions
+    and classes: each module, and each module.name of a from-import."""
+    found = set()
+    for node in _own_nodes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["negcurve" * bool(node.level), node.module]))
+            found |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
+    return found
+
+
+def _eager(source: str, modules) -> list[str]:
+    """The names from ``modules`` that ``source`` imports at top level."""
+    return sorted(
+        name for name in _top_level_imports(source)
+        if any(name == m or name.startswith(m + ".") for m in modules)
+    )
+
+
+def test_cold_path_imports_stay_inside_functions():
+    # mpmath costs a cold process ~30 ms and serves only far_bound (even
+    # n), cap_fraction and certify; cli imports packing and search in the
+    # commands that run them
+    found = {path.name: _eager(path.read_text(), ["mpmath"])
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    cli = (PACKAGE / "cli.py").read_text()
+    assert _eager(cli, ["negcurve.packing", "negcurve.search"]) == []
+    # the guard sees imports under a top-level if or try, relative and
+    # absolute, and not those inside a function
+    probe = (
+        "import mpmath.libmp\n"
+        "try:\n"
+        "    from . import packing\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "if True:\n"
+        "    from negcurve.search import certify\n"
+        "def f():\n"
+        "    import mpmath\n"
+        "    from .packing import total_bound\n"
+    )
+    assert _eager(probe, ["mpmath", "negcurve.packing", "negcurve.search"]) == [
+        "mpmath.libmp", "negcurve.packing", "negcurve.search", "negcurve.search.certify",
+    ]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import del_pezzo_lines
+from conftest import del_pezzo_lines, modules_loaded_by
 from negcurve import (
     DegenerateCapPairError,
     InputError,
@@ -265,6 +265,24 @@ def test_reports_byte_identical_across_processes(tmp_path):
     p = run_cli(["probe", "--n", "2", "--samples", "1000", "--seed", "9"])
     q = run_cli(["probe", "--n", "2", "--samples", "1000", "--seed", "9"])
     assert p.stdout == q.stdout
+
+
+def test_cold_commands_import_only_what_they_run(tmp_path):
+    # a bare import loads no submodule and no dependency
+    assert modules_loaded_by("import negcurve") == set()
+    path = write_doc(tmp_path, BL3_DOC)
+    loaded = modules_loaded_by(
+        "from negcurve.cli import main\n"
+        f"main(['validate', {path!r}])\n"
+        f"main(['embed', {path!r}])\n"
+        "main(['probe', '--n', '2', '--samples', '500'])\n"
+    )
+    assert {"negcurve.cli", "negcurve.conditions", "numpy"} <= loaded
+    assert loaded.isdisjoint({"mpmath", "negcurve.packing", "negcurve.search"})
+    # bound loads packing, and mpmath for fit_constants' far_bound of even
+    # ranks
+    bound = modules_loaded_by("from negcurve.cli import main\nmain(['bound', '--n', '3'])")
+    assert {"mpmath", "negcurve.packing"} <= bound and "negcurve.search" not in bound
 
 
 def standard_family(n):

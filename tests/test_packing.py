@@ -455,6 +455,16 @@ def test_far_cap_measure_is_exact():
         assert float(far_cap_measure(n)) == pytest.approx(cap_fraction(n, alpha), rel=1e-12)
     with pytest.raises(ValueError):
         far_cap_measure(4)
+    # the integer sums equal the antiderivatives summed as fractions
+    for n in range(3, 130, 2):
+        k = (n - 3) // 2
+
+        def antiderivative(u):
+            return sum(Fraction((-1) ** j * math.comb(k, j), 2 * j + 1) * u ** (2 * j + 1)
+                       for j in range(k + 1))
+
+        top = antiderivative(Fraction(1))
+        assert far_cap_measure(n) == (top - antiderivative(Fraction(7, 8))) / (2 * top), n
 
 
 def test_cap_fraction_complement_past_right_angle():
@@ -467,7 +477,8 @@ def test_cap_fraction_complement_past_right_angle():
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, negcurve; print('scipy' in sys.modules)"
+    # the star import loads every submodule of the lazy package
+    code = "import sys; from negcurve import *; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
