@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, cycle
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .conditions import (
     ModelFamily,
     PairVerdict,
     _block_margins,
+    _verdicts,
     cap_arrays,
     coincident_feet,
 )
@@ -90,9 +92,10 @@ class Certificate:
     """High-precision re-verification of a configuration.
 
     All pair margins are recomputed at ``digits`` (CERTIFY_DPS)
-    significant digits from the stored coordinates; the certificate is
-    valid when no margin falls below the tiny negative floor reserved for
-    exact-boundary pairs.
+    significant digits from the stored coordinates, each distinct
+    (theta_i, theta_j, z_i . z_j) once, and every pair is reported; the
+    certificate is valid when no margin falls below the tiny negative
+    floor reserved for exact-boundary pairs.
     """
 
     valid: bool
@@ -189,7 +192,10 @@ def _adjacency(z, theta, fixed=None) -> np.ndarray:
 def certify(caps: ModelFamily) -> Certificate:
     """Recompute every pair margin at CERTIFY_DPS digits.
 
-    An empty or single-cap family certifies vacuously.  Fails when any
+    The margins of a pair depend only on its geometry (theta_i, theta_j,
+    z_i . z_j), so each distinct geometry is evaluated once and every
+    pair still gets its two records, in (i, j, condition) order.  An
+    empty or single-cap family certifies vacuously.  Fails when any
     margin drops below the floor, naming the pair and the condition.
     """
     k = len(caps)
@@ -200,24 +206,37 @@ def certify(caps: ModelFamily) -> Certificate:
         )
     import mpmath
 
-    entries: list[PairVerdict] = []
+    thetas = [cap.theta for cap in caps.caps]
+    pairs = list(combinations(range(k), 2))
+    margins: list[float] = []
     with mpmath.workdps(CERTIFY_DPS):
         lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
         zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
-        thetas = [
-            mpmath.pi / 2 if cap.theta == RIGHT_ANGLE else mpmath.mpf(cap.theta)
-            for cap in caps.caps
-        ]
-        cos_t = [mpmath.cos(t) for t in thetas]
-        for i in range(k):
-            for j in range(i + 1, k):
-                dot = mpmath.fsum(a * b for a, b in zip(zs[i], zs[j]))
-                dot = max(lo, min(hi, dot))
+        # theta and cos(theta) at working precision, once per radius
+        radius = {}
+        for t in set(thetas):
+            mp_t = mpmath.pi / 2 if t == RIGHT_ANGLE else mpmath.mpf(t)
+            radius[t] = (mp_t, mpmath.cos(mp_t))
+        # the (ii) and (iii) margins of each (theta_i, theta_j, dot): keyed
+        # on the float radii and the dot's exact value, which hash cheaply
+        geometry: dict[tuple, tuple[float, float]] = {}
+        for i, j in pairs:
+            # the exact dot rounded once: fdot multiplies exactly and
+            # rounds only the sum
+            dot = max(lo, min(hi, mpmath.fdot(zs[i], zs[j])))
+            key = (thetas[i], thetas[j], dot._mpf_)
+            m = geometry.get(key)
+            if m is None:
+                (t_i, cos_i), (t_j, cos_j) = radius[thetas[i]], radius[thetas[j]]
                 delta = mpmath.acos(dot)
-                m_ii = cos_t[i] * cos_t[j] - mpmath.cos(delta)
-                m_iii = thetas[i] + thetas[j] - delta
-                entries.append(PairVerdict((i, j), "ii", float(m_ii)))
-                entries.append(PairVerdict((i, j), "iii", float(m_iii)))
+                m = geometry[key] = (
+                    float(cos_i * cos_j - mpmath.cos(delta)),
+                    float(t_i + t_j - delta),
+                )
+            margins += m
+    entries = _verdicts(
+        chain.from_iterable(zip(pairs, pairs)), cycle(("ii", "iii")), margins,
+    )
     violations = tuple(e for e in entries if e.margin < CERTIFY_FLOOR)
     worst = min(entries, key=lambda e: e.margin)
     return Certificate(

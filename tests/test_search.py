@@ -11,7 +11,7 @@ import pytest
 from conftest import del_pezzo_lines
 from negcurve import search
 from negcurve.cli import main
-from negcurve.conditions import ModelFamily, cap_arrays
+from negcurve.conditions import ModelFamily, PairVerdict, cap_arrays
 from negcurve.errors import NumericalError
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import total_bound
@@ -100,8 +100,8 @@ def test_certify_square():
 
 def test_certify_perturbed_square_fails():
     caps = square_caps()
-    caps[0] = circle_cap(0.01)  # slide one foot toward its neighbour? no:
     # moving z0 by +0.01 rad toward z1 shrinks delta(0,1) below pi/2
+    caps[0] = circle_cap(0.01)
     cert = certify(ModelFamily(caps))
     assert not cert.valid
     assert any(
@@ -112,6 +112,133 @@ def test_certify_perturbed_square_fails():
 def test_certify_empty_and_single():
     assert certify(ModelFamily([])).valid
     assert certify(ModelFamily([circle_cap(0.5)])).valid
+
+
+def _certify_oracle(caps: ModelFamily) -> search.Certificate:
+    """:func:`certify` as one mpmath evaluation per pair, each dot product
+    a sum of rounded products."""
+    import mpmath
+
+    k = len(caps)
+    entries = []
+    with mpmath.workdps(search.CERTIFY_DPS):
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
+        thetas = [
+            mpmath.pi / 2 if cap.theta == search.RIGHT_ANGLE else mpmath.mpf(cap.theta)
+            for cap in caps.caps
+        ]
+        cos_t = [mpmath.cos(t) for t in thetas]
+        for i in range(k):
+            for j in range(i + 1, k):
+                dot = mpmath.fsum(a * b for a, b in zip(zs[i], zs[j]))
+                dot = max(lo, min(hi, dot))
+                delta = mpmath.acos(dot)
+                m_ii = cos_t[i] * cos_t[j] - mpmath.cos(delta)
+                m_iii = thetas[i] + thetas[j] - delta
+                entries.append(PairVerdict((i, j), "ii", float(m_ii)))
+                entries.append(PairVerdict((i, j), "iii", float(m_iii)))
+    violations = tuple(e for e in entries if e.margin < search.CERTIFY_FLOOR)
+    worst = min(entries, key=lambda e: e.margin)
+    return search.Certificate(
+        valid=not violations,
+        digits=search.CERTIFY_DPS,
+        min_margin=worst.margin,
+        worst=worst,
+        violations=violations,
+    )
+
+
+def cross_polytope_caps(n):
+    return [CapRep(z=z, theta=search.RIGHT_ANGLE) for z in search._cross_polytope(n)]
+
+
+def random_feet(rng, k, n):
+    z = rng.normal(size=(k, n))
+    return [tuple(row) for row in (z / np.linalg.norm(z, axis=1, keepdims=True)).tolist()]
+
+
+def random_caps(rng, k, n):
+    """k caps with random feet and radii in (0.05, pi - 0.05)."""
+    thetas = rng.uniform(0.05, math.pi - 0.05, size=k).tolist()
+    return [CapRep(z=z, theta=t) for z, t in zip(random_feet(rng, k, n), thetas)]
+
+
+def _oracle_families():
+    rng = np.random.default_rng(2718)
+    for n in range(2, 9):
+        yield f"cross-polytope-{n}", cross_polytope_caps(n)
+    for n, k in ((2, 9), (3, 12), (5, 10), (8, 14)):
+        yield f"random-{n}-{k}", random_caps(rng, k, n)
+    z = random_feet(rng, 4, 4)
+    minus = [tuple(-x for x in f) for f in z]
+    yield "repeated-and-antipodal-feet", [
+        CapRep(z=z[0], theta=1.1), CapRep(z=z[0], theta=1.1), CapRep(z=z[0], theta=0.4),
+        CapRep(z=minus[0], theta=1.1), CapRep(z=z[1], theta=2.0),
+        CapRep(z=minus[1], theta=2.0), CapRep(z=minus[1], theta=0.7),
+        CapRep(z=z[2], theta=search.RIGHT_ANGLE), CapRep(z=minus[2], theta=search.RIGHT_ANGLE),
+    ]
+    yield "equal-radii", [CapRep(z=f, theta=0.9) for f in random_feet(rng, 8, 3)] + [
+        CapRep(z=f, theta=2.3) for f in random_feet(rng, 5, 3)
+    ]
+    yield "tiny-component", [
+        CapRep(z=(1.0, 1e-200, 0.0), theta=1.2),
+        CapRep(z=(0.0, 1.0, 1e-200), theta=1.2),
+        CapRep(z=(1e-200, 0.0, -1.0), theta=0.8),
+        CapRep(z=(-1.0, -1e-200, 1e-200), theta=search.RIGHT_ANGLE),
+    ]
+    failing = square_caps()
+    failing[0] = circle_cap(0.01)
+    yield "perturbed-square", failing
+
+
+ORACLE_FAMILIES = dict(_oracle_families())
+
+
+@pytest.mark.parametrize("caps", ORACLE_FAMILIES.values(), ids=ORACLE_FAMILIES.keys())
+def test_certify_matches_the_per_pair_oracle(caps):
+    fam = ModelFamily(caps)
+    cert, expected = certify(fam), _certify_oracle(fam)
+    assert cert.to_json_dict() == expected.to_json_dict()
+    assert repr(cert) == repr(expected)
+
+
+def test_certify_precision_makes_every_foot_product_exact():
+    # certify's one-rounding fdot equals a sum of rounded products only
+    # while the product of two doubles (106 bits) is exact
+    import mpmath
+
+    with mpmath.workdps(search.CERTIFY_DPS):
+        assert mpmath.mp.prec >= 2 * 53
+
+
+def _count_trig(monkeypatch):
+    import mpmath
+
+    calls = {"acos": 0, "cos": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(mpmath, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(mpmath, name, counted)
+    return calls
+
+
+def test_certify_evaluates_each_pair_geometry_once(monkeypatch):
+    calls = _count_trig(monkeypatch)
+    cert = certify(ModelFamily(cross_polytope_caps(8)))
+    assert cert.valid
+    # 120 pairs: dots 0 and -1 at one radius
+    assert calls["acos"] <= 2 and calls["cos"] <= 3
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (9, 3), (20, 8)])
+def test_certify_skips_no_distinct_pair_geometry(monkeypatch, k, n):
+    caps = random_caps(np.random.default_rng(k), k, n)
+    calls = _count_trig(monkeypatch)
+    certify(ModelFamily(caps))
+    assert calls["acos"] == k * (k - 1) // 2
 
 
 def test_greedy_square_bound_n2():
