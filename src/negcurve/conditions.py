@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -473,19 +474,30 @@ def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
     return total
 
 
+def _h_norms(rows: np.ndarray) -> np.ndarray:
+    """H-norms x_0^2 - (x_1^2 + ... + x_n^2) of the rows of a C-ordered
+    (rows, n + 1) array."""
+    # x * x is the square that ** 2 takes, so the norms round as before;
+    # one pass over the C-ordered rows costs half of squaring their strided
+    # columns, on the thread that paces the probe
+    squares = (rows * rows).T
+    return squares[0] - _coordinate_sum(squares[1:])
+
+
 def _sample_spacelike(
     rng: np.random.Generator, count: int, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Gaussian vectors in R^{n+1} conditioned on a negative H-norm.
 
-    Yields ``count`` vectors in sample order, as (n + 1, rows) column
-    chunks of at most ``_PROBE_BLOCK`` rows, each with its H-norms.  Each
-    round draws max(count - filled, 64) rows and keeps the first negative
-    ones it needs.  A round is drawn ``_PROBE_BLOCK`` rows at a time,
-    which reads the same stream as one draw, since numpy's Generator fills
-    an array element by element; the rows left after the last kept one
-    are drawn all the same, so the stream after the generator is done
-    does not depend on the block.
+    Yields ``count`` vectors in sample order, in drawn (n + 1, rows)
+    column chunks of at most ``_PROBE_BLOCK`` rows, each with the indices
+    of the columns it keeps and their H-norms; ``np.take(cols, keep,
+    axis=1)`` gives the vectors.  Each round draws max(count - filled, 64)
+    rows and keeps the first negative ones it needs.  A round is drawn
+    ``_PROBE_BLOCK`` rows at a time, which reads the same stream as one
+    draw, since numpy's Generator fills an array element by element; the
+    rows left after the last kept one are drawn all the same, so the
+    stream after the generator is done does not depend on the block.
     """
     filled = 0
     while filled < count:
@@ -495,26 +507,67 @@ def _sample_spacelike(
             left -= len(chunk)
             if filled == count:
                 continue
-            cols = chunk.T
-            q = cols[0] ** 2 - _coordinate_sum(cols[1:] ** 2)
+            q = _h_norms(chunk)
             keep = np.flatnonzero(q < 0)[: count - filled]
             if len(keep):
                 filled += len(keep)
-                yield np.take(cols, keep, axis=1), q[keep]
+                yield chunk.T, keep, q[keep]
 
 
-def _sample_set(rng: np.random.Generator, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All of :func:`_sample_spacelike` as one (n + 1, count) column array
-    and its H-norms."""
-    vectors = np.empty((n + 1, count))
-    norms = np.empty(count)
-    lo = 0
-    for cols, q in _sample_spacelike(rng, count, n):
-        rows = slice(lo, lo + len(q))
-        vectors[:, rows] = cols
-        norms[rows] = q
-        lo = rows.stop
-    return vectors, norms
+@contextmanager
+def _in_background(items: Iterable) -> Iterator[Iterator]:
+    """Iterate ``items`` on one background thread, one item ahead.
+
+    Yields an iterator over the same items in the same order.  The thread
+    makes the next item while the caller works on the one it took, and
+    then waits until the caller takes that one too.  An exception raised
+    while an item is made, ``MemoryError`` included, is raised again where
+    the caller takes that item.  However the body exits, the thread stops
+    after at most one more item and is joined.
+    """
+    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
+    slot = [None]
+    stop = threading.Event()
+    end = object()
+
+    def hand(entry):
+        slot[0] = entry
+        ready.release()
+        taken.acquire()
+
+    def produce():
+        try:
+            for item in items:
+                hand((item, None))
+                if stop.is_set():
+                    return
+            hand((end, None))
+        # any exception, so that the caller is never left waiting
+        except BaseException as exc:
+            hand((end, exc))
+
+    def take():
+        while True:
+            ready.acquire()
+            item, exc = slot[0]
+            slot[0] = None
+            taken.release()
+            if exc is not None:
+                raise exc
+            if item is end:
+                return
+            yield item
+
+    thread = threading.Thread(target=produce, name="negcurve-probe-draws", daemon=True)
+    thread.start()
+    try:
+        yield take()
+    finally:
+        # once the flag is set the producer makes at most one more hand-off,
+        # which the one release here lets it finish
+        stop.set()
+        taken.release()
+        thread.join()
 
 
 def _probe_block(a, b, n1, n2):
@@ -586,6 +639,15 @@ def equivalence_probe(
     is drawn after it in chunks of at most ``_PROBE_BLOCK`` rows, and each
     chunk is evaluated against the first set's matching rows as soon as
     it is drawn.  The report does not depend on the block size.
+
+    One background thread draws both sets, and filters out the vectors
+    that are not space-like, while the calling thread evaluates the chunk
+    before; it starts once the held set is allocated and is joined before
+    the probe returns or raises.  The report does not depend on how the
+    two are scheduled: the background thread alone reads the generator,
+    in the order of a serial run, and the caller takes the chunks
+    strictly in that order.  An exception in the background thread, a
+    ``MemoryError`` included, is raised in the caller.
     Raises :class:`MemoryError` at once when a (samples, n + 1) array of
     doubles is beyond what numpy can address.
     """
@@ -599,44 +661,58 @@ def equivalence_probe(
         raise MemoryError(
             f"a {samples} x {n + 1} array of doubles is beyond numpy's size limit"
         )
+    v1 = np.empty((n + 1, samples))
+    q1 = np.empty(samples)
     rng = np.random.default_rng(seed)
-    v1, q1 = _sample_set(rng, samples, n)
+    # the two sets, one after the other, as a serial run draws them
+    draws = (chunk for _ in range(2) for chunk in _sample_spacelike(rng, samples, n))
 
     disagreements = {"I/i": 0, "II/ii": 0, "III/iii": 0}
     boundary = dict(disagreements)
     found: dict[str, list[dict]] = {name: [] for name in disagreements}
     big_cap = iii_without_III = III_without_iii = 0
-    lo = 0
-    for v2, q2 in _sample_spacelike(rng, samples, n):
-        rows = slice(lo, lo + len(q2))
-        lo = rows.stop
-        values, pairs = _probe_block(v1[:, rows], v2, q1[rows], q2)
-        for name, (va, vb, ma, mb) in pairs.items():
-            diff = va != vb
-            near = np.minimum(np.abs(ma), np.abs(mb)) <= TOL_BOUNDARY
-            idx = np.flatnonzero(diff & ~near)
-            disagreements[name] += len(idx)
-            boundary[name] += int(np.count_nonzero(diff & near))
-            if name == "III/iii":
-                big_cap += int(np.count_nonzero(
-                    (values["theta1"][idx] + values["theta2"][idx]) > math.pi
-                ))
-            for k in idx[: PROBE_EXAMPLES - len(found[name])]:
-                found[name].append(
-                    {
-                        "conditions": name,
-                        "lattice_verdict": bool(va[k]),
-                        "model_verdict": bool(vb[k]),
-                        "theta1": float(values["theta1"][k]),
-                        "theta2": float(values["theta2"][k]),
-                        "delta": float(values["delta"][k]),
-                        "norms": [float(values["n1"][k]), float(values["n2"][k])],
-                        "pairing": float(values["h"][k]),
-                    }
-                )
-        verdict_III, verdict_iii = pairs["III/iii"][:2]
-        iii_without_III += int(np.count_nonzero(verdict_iii & ~verdict_III))
-        III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
+    with _in_background(draws) as chunks:
+        # the first set's chunks fill the held set, and the rest are the second's
+        lo = 0
+        for cols, keep, q in chunks:
+            rows = slice(lo, lo + len(keep))
+            v1[:, rows] = np.take(cols, keep, axis=1)
+            q1[rows] = q
+            lo = rows.stop
+            if lo == samples:
+                break
+        lo = 0
+        for cols, keep, q2 in chunks:
+            rows = slice(lo, lo + len(keep))
+            lo = rows.stop
+            v2 = np.take(cols, keep, axis=1)
+            values, pairs = _probe_block(v1[:, rows], v2, q1[rows], q2)
+            for name, (va, vb, ma, mb) in pairs.items():
+                diff = va != vb
+                near = np.minimum(np.abs(ma), np.abs(mb)) <= TOL_BOUNDARY
+                idx = np.flatnonzero(diff & ~near)
+                disagreements[name] += len(idx)
+                boundary[name] += int(np.count_nonzero(diff & near))
+                if name == "III/iii":
+                    big_cap += int(np.count_nonzero(
+                        (values["theta1"][idx] + values["theta2"][idx]) > math.pi
+                    ))
+                for k in idx[: PROBE_EXAMPLES - len(found[name])]:
+                    found[name].append(
+                        {
+                            "conditions": name,
+                            "lattice_verdict": bool(va[k]),
+                            "model_verdict": bool(vb[k]),
+                            "theta1": float(values["theta1"][k]),
+                            "theta2": float(values["theta2"][k]),
+                            "delta": float(values["delta"][k]),
+                            "norms": [float(values["n1"][k]), float(values["n2"][k])],
+                            "pairing": float(values["h"][k]),
+                        }
+                    )
+            verdict_III, verdict_iii = pairs["III/iii"][:2]
+            iii_without_III += int(np.count_nonzero(verdict_iii & ~verdict_III))
+            III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
 
     # examples in the order I/i, II/ii, III/iii, each by ascending index
     examples = [ex for exs in found.values() for ex in exs][:PROBE_EXAMPLES]

@@ -3,6 +3,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+
+import pytest
 
 
 def pytest_configure(config):
@@ -13,6 +16,40 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    # a test that starts a thread, directly or through the package, joins it
+    before = threading.active_count()
+    yield
+    left = threading.active_count() - before
+    assert left <= 0, f"{left} more live thread(s) after the test than before it"
+
+
+def finished_within(seconds, *calls):
+    """Run each call on its own thread, all at once, and return their
+    results in order; fail if one has not returned within ``seconds``, so
+    that a hang fails the test instead of stalling the suite.  The first
+    exception a call raised is raised again here."""
+    outcomes = [None] * len(calls)
+
+    def run(k):
+        try:
+            outcomes[k] = (calls[k](), None)
+        except BaseException as exc:
+            outcomes[k] = (None, exc)
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(seconds)
+        assert not thread.is_alive(), f"still running after {seconds} s"
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in outcomes]
 
 
 def del_pezzo_lines(r):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -564,18 +565,37 @@ def test_bound_envelope_overflow_is_numerical_failure(argv, code):
         assert lines == [] and json.loads(proc.stdout)["outputs"]["bound"]["n"] == 565
 
 
-def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
-    # the held sample set's allocation fails as numpy's would, without
-    # asking the machine for the ~32 TB that 10^12 samples at n = 3 take
-    def no_memory(rng, count, n):
-        raise MemoryError(f"Unable to allocate {count * (n + 1) * 8} bytes")
+def no_memory_for_huge_arrays(empty):
+    """``np.empty`` that fails as numpy's would for an array of 10^12 or
+    more elements, without asking the machine for the memory."""
+    def fake(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) >= 10**12:
+            raise MemoryError(f"Unable to allocate {math.prod(shape) * 8} bytes")
+        return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(conditions, "_sample_set", no_memory)
-    code = main(["probe", "--samples", "1000000000000"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
+    return fake
+
+
+def background_sampler_without_memory(rng, count, n):
+    """The probe's sampler failing on its background thread, where it would
+    allocate its first chunk."""
+    if threading.current_thread() is threading.main_thread():
+        raise AssertionError("the sampler runs on the probe's background thread")
+    raise MemoryError("Unable to allocate 524288 bytes")
+    yield
+
+
+def test_out_of_memory_is_numerical_failure(monkeypatch, capsys):
+    # the held sample set: ~32 TB at 10^12 samples and n = 3
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", no_memory_for_huge_arrays(np.empty))
+        held = main(["probe", "--samples", "1000000000000"]), capsys.readouterr()
+    monkeypatch.setattr(conditions, "_sample_spacelike", background_sampler_without_memory)
+    background = main(["probe", "--samples", "1000"]), capsys.readouterr()
+    for code, captured in (held, background):
+        assert code == 3 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,9 @@ import gc
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import finished_within
 from negcurve import conditions
 from negcurve.conditions import (
     CurveFamily,
@@ -985,6 +989,14 @@ def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed,
     assert probe_digest(report) == probe_digest(expected)
 
 
+def kept_vectors(chunks):
+    """The vectors that :func:`conditions._sample_spacelike` keeps, as one
+    (n + 1, count) column array, and their H-norms."""
+    chunks = list(chunks)
+    vectors = np.concatenate([np.take(cols, keep, axis=1) for cols, keep, _ in chunks], axis=1)
+    return vectors, np.concatenate([q for _, _, q in chunks])
+
+
 def round_trip_ii(values):
     """The probe's (ii) value as it was computed before it kept the clipped
     cosines: cos(delta) - cos(theta1) cos(theta2), through arccos and back."""
@@ -998,12 +1010,13 @@ def test_probe_ii_from_cosines_matches_round_trip(n, seed):
     # values differ by far less than the guard band
     samples = 100_000
     rng = np.random.default_rng(seed)
-    v1, q1 = conditions._sample_set(rng, samples, n)
+    v1, q1 = kept_vectors(conditions._sample_spacelike(rng, samples, n))
     worst = 0.0
     lo = 0
-    for v2, q2 in conditions._sample_spacelike(rng, samples, n):
+    for cols, keep, q2 in conditions._sample_spacelike(rng, samples, n):
         rows = slice(lo, lo + len(q2))
         lo = rows.stop
+        v2 = np.take(cols, keep, axis=1)
         values, pairs = conditions._probe_block(v1[:, rows], v2, q1[rows], q2)
         _, verdict, m_II, m_ii = pairs["II/ii"]
         old = round_trip_ii(values)
@@ -1051,12 +1064,106 @@ def test_chunked_sampler_reads_the_whole_round_stream(monkeypatch, n, count, blo
     monkeypatch.setattr(conditions, "_PROBE_BLOCK", block)
     rng = np.random.default_rng(seed)
     chunks = list(conditions._sample_spacelike(rng, count, n))
-    assert all(0 < len(q) <= block and v.shape == (n + 1, len(q)) for v, q in chunks)
-    v = np.concatenate([v for v, _ in chunks], axis=1)
-    q = np.concatenate([q for _, q in chunks])
+    assert all(
+        0 < len(keep) == len(q) <= cols.shape[1] <= block and len(cols) == n + 1
+        for cols, keep, q in chunks
+    )
+    v, q = kept_vectors(chunks)
     assert np.array_equal(v.view(np.int64), expected_v.view(np.int64))
     assert np.array_equal(q.view(np.int64), expected_q.view(np.int64))
     assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def sampler_failing_at(chunk):
+    """``_sample_spacelike`` that raises ``MemoryError`` where it would
+    yield its ``chunk``-th chunk, counted over both sample sets, and the
+    threads it raised on."""
+    sampler = conditions._sample_spacelike
+    drawn = []
+    raised_on = []
+
+    def failing(rng, count, n):
+        for item in sampler(rng, count, n):
+            if len(drawn) == chunk:
+                raised_on.append(threading.current_thread())
+                raise MemoryError("Unable to allocate the next chunk")
+            drawn.append(None)
+            yield item
+
+    return failing, raised_on
+
+
+def probe_block_failing_at(block):
+    """``_probe_block`` that raises on its ``block``-th call, after a pause
+    in which the background thread draws ahead and waits to hand over."""
+    evaluate = conditions._probe_block
+    calls = []
+
+    def failing(*args):
+        if len(calls) == block:
+            time.sleep(0.05)
+            raise RuntimeError("evaluation failed")
+        calls.append(None)
+        return evaluate(*args)
+
+    return failing
+
+
+def probe_joining_its_thread(n, samples, seed):
+    """``equivalence_probe``, checked to leave no thread running the moment
+    it returns or raises."""
+    before = threading.active_count()
+    try:
+        return equivalence_probe(n, samples, seed=seed)
+    finally:
+        assert threading.active_count() == before
+
+
+def test_probe_joins_its_thread_on_return():
+    (report,) = finished_within(60, lambda: probe_joining_its_thread(3, 50_000, 1))
+    assert report.samples == 50_000
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 9])
+def test_probe_raises_a_background_memory_error(monkeypatch, chunk):
+    # the first set has 9 chunks: its first, its second, and the second
+    # set's first
+    failing, raised_on = sampler_failing_at(chunk)
+    monkeypatch.setattr(conditions, "_sample_spacelike", failing)
+    caller = []
+
+    def probe():
+        caller.append(threading.current_thread())
+        return probe_joining_its_thread(3, 50_000, 1)
+
+    with pytest.raises(MemoryError, match="next chunk"):
+        finished_within(60, probe)
+    assert len(raised_on) == 1 and raised_on[0] is not caller[0]
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_probe_joins_its_thread_when_evaluation_raises(monkeypatch, block):
+    monkeypatch.setattr(conditions, "_probe_block", probe_block_failing_at(block))
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        finished_within(60, lambda: probe_joining_its_thread(3, 50_000, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_probe_report_independent_of_scheduling(n):
+    # two probes at once, each with its own background thread, while the
+    # interpreter switches threads as often as it can; 40k samples span
+    # three blocks
+    samples, seeds = 40_000, (7, 8)
+    serial = [probe_digest(equivalence_probe(n, samples, seed=seed)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = finished_within(
+            120, *(lambda seed=seed: equivalence_probe(n, samples, seed=seed) for seed in seeds)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert [probe_digest(report) for report in reports] == serial
 
 
 def test_probe_memory_holds_one_sample_set():
