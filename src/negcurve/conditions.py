@@ -474,14 +474,24 @@ def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
     return total
 
 
-def _h_norms(rows: np.ndarray) -> np.ndarray:
-    """H-norms x_0^2 - (x_1^2 + ... + x_n^2) of the rows of a C-ordered
-    (rows, n + 1) array."""
-    # x * x is the square that ** 2 takes, so the norms round as before;
-    # one pass over the C-ordered rows costs half of squaring their strided
-    # columns, on the thread that paces the probe
-    squares = (rows * rows).T
+def _h_norms(cols: np.ndarray) -> np.ndarray:
+    """H-norms x_0^2 - (x_1^2 + ... + x_n^2) of the columns of an
+    (n + 1, samples) array."""
+    # x * x rounds as ** 2 does; the product keeps the layout of
+    # ``cols``, so a drawn chunk's transpose is squared in one pass over
+    # its C-ordered rows
+    squares = cols * cols
     return squares[0] - _coordinate_sum(squares[1:])
+
+
+def _take_columns(cols: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.take(cols, keep, axis=1)`` written into ``out``, one
+    coordinate row at a time: the same values, at a third of the cost of
+    gathering from the transposed chunk in one call."""
+    for src, dest in zip(cols, out):
+        # mode="clip" takes into ``out`` unbuffered; ``keep`` is in range
+        np.take(src, keep, out=dest, mode="clip")
+    return out
 
 
 def _sample_spacelike(
@@ -498,16 +508,20 @@ def _sample_spacelike(
     draw, since numpy's Generator fills an array element by element; the
     rows left after the last kept one are drawn all the same, so the
     stream after the generator is done does not depend on the block.
+    The chunks are those of ``rng.normal``: it returns 0.0 + 1.0 * x for
+    the standard normal x, which is x with -0.0 turned into +0.0, and
+    adding 0.0 in place does just that, for less than the scaled draw.
     """
     filled = 0
     while filled < count:
         left = max(count - filled, 64)
         while left:
-            chunk = rng.normal(size=(min(left, _PROBE_BLOCK), n + 1))
+            chunk = rng.standard_normal(size=(min(left, _PROBE_BLOCK), n + 1))
             left -= len(chunk)
             if filled == count:
                 continue
-            q = _h_norms(chunk)
+            chunk += 0.0
+            q = _h_norms(chunk.T)
             keep = np.flatnonzero(q < 0)[: count - filled]
             if len(keep):
                 filled += len(keep)
@@ -574,31 +588,28 @@ def _probe_block(a, b, n1, n2):
     """Both condition systems on one block of sample pairs.
 
     ``a`` and ``b`` are (n + 1, rows) column blocks and ``n1``, ``n2``
-    their H-norms.  Returns the per-row quantities the examples report
-    and, per condition pair, (lattice verdict, model verdict, lattice
-    margin, model margin).
+    their H-norms.  Returns the per-row quantities that the examples and
+    :func:`_probe_margins` read and, per condition pair, the lattice and
+    the model verdict.
     """
-    e1 = _coordinate_sum(a * a)
-    e2 = _coordinate_sum(b * b)
+    # the squares serve both the Euclidean and the spatial norms
+    sq1, sq2 = a * a, b * b
+    e1 = _coordinate_sum(sq1)
+    e2 = _coordinate_sum(sq2)
     cross = _coordinate_sum(a[1:] * b[1:])
     h = a[0] * b[0] - cross
 
-    # lattice-level margins, normalized to be scale-invariant
-    m_I = np.minimum(-n1 / e1, -n2 / e2)
     verdict_I = (n1 < 0) & (n2 < 0)
-    scale = np.sqrt(e1 * e2)
-    m_II = h / scale
     verdict_II = h >= 0
     # supremum of |a v1 + b v2|_H^2 over positive ray directions: for a
     # nonpositive cross term it is max of the endpoint norms, otherwise
     # the interior critical value (n1 n2 - h^2)/n1
     sup_pos = np.where(h > 0, (n1 * n2 - h * h) / n1, np.maximum(n1, n2))
-    m_III = -sup_pos / (scale * scale)
     verdict_III = sup_pos <= 0
 
     # model level: normalize onto the cylinder
-    s1 = np.sqrt(_coordinate_sum(a[1:] * a[1:]))
-    s2 = np.sqrt(_coordinate_sum(b[1:] * b[1:]))
+    s1 = np.sqrt(_coordinate_sum(sq1[1:]))
+    s2 = np.sqrt(_coordinate_sum(sq2[1:]))
     c1 = np.clip(a[0] / s1, -1.0, 1.0)
     c2 = np.clip(b[0] / s2, -1.0, 1.0)
     cd = np.clip(cross / (s1 * s2), -1.0, 1.0)
@@ -615,13 +626,29 @@ def _probe_block(a, b, n1, n2):
     val_iii = theta1 + theta2 - delta
 
     values = {"theta1": theta1, "theta2": theta2, "delta": delta,
-              "n1": n1, "n2": n2, "h": h}
-    pairs = {
-        "I/i": (verdict_I, verdict_i, m_I, m_I),
-        "II/ii": (verdict_II, val_ii <= TOL_BOUNDARY, m_II, -val_ii),
-        "III/iii": (verdict_III, val_iii >= -TOL_BOUNDARY, m_III, val_iii),
+              "n1": n1, "n2": n2, "h": h, "e1": e1, "e2": e2,
+              "sup_pos": sup_pos, "val_ii": val_ii, "val_iii": val_iii}
+    verdicts = {
+        "I/i": (verdict_I, verdict_i),
+        "II/ii": (verdict_II, val_ii <= TOL_BOUNDARY),
+        "III/iii": (verdict_III, val_iii >= -TOL_BOUNDARY),
     }
-    return values, pairs
+    return values, verdicts
+
+
+def _probe_margins(values, name, rows):
+    """The lattice and the model margin of condition pair ``name`` on
+    ``rows`` of a block's ``values``, each normalized to be
+    scale-invariant.  Elementwise, so a row's margins do not depend on
+    the other rows taken."""
+    e1, e2 = values["e1"][rows], values["e2"][rows]
+    if name == "I/i":
+        m_I = np.minimum(-values["n1"][rows] / e1, -values["n2"][rows] / e2)
+        return m_I, m_I
+    scale = np.sqrt(e1 * e2)
+    if name == "II/ii":
+        return values["h"][rows] / scale, -values["val_ii"][rows]
+    return -values["sup_pos"][rows] / (scale * scale), values["val_iii"][rows]
 
 
 def equivalence_probe(
@@ -634,11 +661,14 @@ def equivalence_probe(
     Lattice-level verdicts are evaluated directly from inner products of
     the raw vectors; model-level verdicts from the cap coordinates of the
     projected points.  Both sides use scale-invariant margins so the
-    boundary band is meaningful across samples.  Only the first sample
-    set is held, as an (n + 1, samples) array with its H-norms; the second
-    is drawn after it in chunks of at most ``_PROBE_BLOCK`` rows, and each
-    chunk is evaluated against the first set's matching rows as soon as
-    it is drawn.  The report does not depend on the block size.
+    boundary band is meaningful across samples; they are computed only
+    for the pairs whose verdicts differ, the only ones the report counts
+    or lists.  Only the first sample set is held, as one (n + 1, samples)
+    array, and each block's H-norms are computed again from it; the
+    second set is drawn after it in chunks of at most ``_PROBE_BLOCK``
+    rows, and each chunk is evaluated against the first set's matching
+    rows as soon as it is drawn.  The report does not depend on the
+    block size.
 
     One background thread draws both sets, and filters out the vectors
     that are not space-like, while the calling thread evaluates the chunk
@@ -662,7 +692,6 @@ def equivalence_probe(
             f"a {samples} x {n + 1} array of doubles is beyond numpy's size limit"
         )
     v1 = np.empty((n + 1, samples))
-    q1 = np.empty(samples)
     rng = np.random.default_rng(seed)
     # the two sets, one after the other, as a serial run draws them
     draws = (chunk for _ in range(2) for chunk in _sample_spacelike(rng, samples, n))
@@ -674,10 +703,9 @@ def equivalence_probe(
     with _in_background(draws) as chunks:
         # the first set's chunks fill the held set, and the rest are the second's
         lo = 0
-        for cols, keep, q in chunks:
+        for cols, keep, _ in chunks:
             rows = slice(lo, lo + len(keep))
-            v1[:, rows] = np.take(cols, keep, axis=1)
-            q1[rows] = q
+            _take_columns(cols, keep, v1[:, rows])
             lo = rows.stop
             if lo == samples:
                 break
@@ -685,14 +713,16 @@ def equivalence_probe(
         for cols, keep, q2 in chunks:
             rows = slice(lo, lo + len(keep))
             lo = rows.stop
-            v2 = np.take(cols, keep, axis=1)
-            values, pairs = _probe_block(v1[:, rows], v2, q1[rows], q2)
-            for name, (va, vb, ma, mb) in pairs.items():
-                diff = va != vb
+            a = v1[:, rows]
+            v2 = _take_columns(cols, keep, np.empty((n + 1, len(keep))))
+            values, verdicts = _probe_block(a, v2, _h_norms(a), q2)
+            for name, (va, vb) in verdicts.items():
+                cand = np.flatnonzero(va != vb)
+                ma, mb = _probe_margins(values, name, cand)
                 near = np.minimum(np.abs(ma), np.abs(mb)) <= TOL_BOUNDARY
-                idx = np.flatnonzero(diff & ~near)
+                idx = cand[~near]
                 disagreements[name] += len(idx)
-                boundary[name] += int(np.count_nonzero(diff & near))
+                boundary[name] += int(np.count_nonzero(near))
                 if name == "III/iii":
                     big_cap += int(np.count_nonzero(
                         (values["theta1"][idx] + values["theta2"][idx]) > math.pi
@@ -710,7 +740,7 @@ def equivalence_probe(
                             "pairing": float(values["h"][k]),
                         }
                     )
-            verdict_III, verdict_iii = pairs["III/iii"][:2]
+            verdict_III, verdict_iii = verdicts["III/iii"]
             iii_without_III += int(np.count_nonzero(verdict_iii & ~verdict_III))
             III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, cycle
 
@@ -208,27 +209,31 @@ def certify(caps: ModelFamily) -> Certificate:
 
     thetas = [cap.theta for cap in caps.caps]
     pairs = list(combinations(range(k), 2))
+    # every foot as integers over one power of two, so that a pair's dot
+    # product is an exact integer sum over ``one``, and its clamp exact
+    ratios = [[float(x).as_integer_ratio() for x in cap.z] for cap in caps.caps]
+    den = max(d for foot in ratios for _, d in foot)
+    feet = [[num * (den // d) for num, d in foot] for foot in ratios]
+    one = den * den
     margins: list[float] = []
     with mpmath.workdps(CERTIFY_DPS):
-        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
-        zs = [[mpmath.mpf(x) for x in cap.z] for cap in caps.caps]
         # theta and cos(theta) at working precision, once per radius
         radius = {}
         for t in set(thetas):
             mp_t = mpmath.pi / 2 if t == RIGHT_ANGLE else mpmath.mpf(t)
             radius[t] = (mp_t, mpmath.cos(mp_t))
         # the (ii) and (iii) margins of each (theta_i, theta_j, dot): keyed
-        # on the float radii and the dot's exact value, which hash cheaply
+        # on the float radii and the dot's exact numerator
         geometry: dict[tuple, tuple[float, float]] = {}
         for i, j in pairs:
-            # the exact dot rounded once: fdot multiplies exactly and
-            # rounds only the sum
-            dot = max(lo, min(hi, mpmath.fdot(zs[i], zs[j])))
-            key = (thetas[i], thetas[j], dot._mpf_)
+            dot = max(-one, min(one, sum(map(operator.mul, feet[i], feet[j]))))
+            key = (thetas[i], thetas[j], dot)
             m = geometry.get(key)
             if m is None:
                 (t_i, cos_i), (t_j, cos_j) = radius[thetas[i]], radius[thetas[j]]
-                delta = mpmath.acos(dot)
+                # the exact dot rounded once, as mpmath.fdot rounds it:
+                # dividing by a power of two is exact
+                delta = mpmath.acos(mpmath.mpf(dot) / one)
                 m = geometry[key] = (
                     float(cos_i * cos_j - mpmath.cos(delta)),
                     float(t_i + t_j - delta),

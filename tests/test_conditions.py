@@ -1017,8 +1017,13 @@ def test_probe_ii_from_cosines_matches_round_trip(n, seed):
         rows = slice(lo, lo + len(q2))
         lo = rows.stop
         v2 = np.take(cols, keep, axis=1)
-        values, pairs = conditions._probe_block(v1[:, rows], v2, q1[rows], q2)
-        _, verdict, m_II, m_ii = pairs["II/ii"]
+        # the probe computes the held set's norms again, to the same bits
+        n1 = conditions._h_norms(v1[:, rows])
+        assert np.array_equal(n1.view(np.int64), q1[rows].view(np.int64))
+        values, verdicts = conditions._probe_block(v1[:, rows], v2, n1, q2)
+        _, verdict = verdicts["II/ii"]
+        every = np.arange(len(q2))
+        m_II, m_ii = conditions._probe_margins(values, "II/ii", every)
         old = round_trip_ii(values)
         assert np.array_equal(verdict, old <= conditions.TOL_BOUNDARY)
         near = np.minimum(np.abs(m_II), np.abs(m_ii)) <= conditions.TOL_BOUNDARY
@@ -1072,6 +1077,58 @@ def test_chunked_sampler_reads_the_whole_round_stream(monkeypatch, n, count, blo
     assert np.array_equal(v.view(np.int64), expected_v.view(np.int64))
     assert np.array_equal(q.view(np.int64), expected_q.view(np.int64))
     assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def normal_round_chunks(rng, count, n):
+    """The chunks that :func:`conditions._sample_spacelike` yields, with
+    the indices it keeps: each round drawn whole with ``rng.normal`` and
+    cut into ``_PROBE_BLOCK`` rows.  The reference for the sampler's
+    ``standard_normal`` draw."""
+    filled = 0
+    while filled < count:
+        batch = rng.normal(size=(max(count - filled, 64), n + 1))
+        for lo in range(0, len(batch), conditions._PROBE_BLOCK):
+            if filled == count:
+                break
+            chunk = batch[lo : lo + conditions._PROBE_BLOCK]
+            q = chunk[:, 0] ** 2 - np.sum(chunk[:, 1:] ** 2, axis=1)
+            keep = np.flatnonzero(q < 0)[: count - filled]
+            if len(keep):
+                filled += len(keep)
+                yield chunk, keep
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_sampler_draws_the_normal_stream(n, seed):
+    # every yielded chunk, bit for bit, and the generator left in the same state
+    count = 40_000
+    expected_rng = np.random.default_rng(seed)
+    expected = list(normal_round_chunks(expected_rng, count, n))
+    rng = np.random.default_rng(seed)
+    chunks = list(conditions._sample_spacelike(rng, count, n))
+    assert len(chunks) == len(expected) > 2
+    for (cols, keep, _), (want, want_keep) in zip(chunks, expected):
+        assert np.array_equal(cols.T.view(np.int64), want.view(np.int64))
+        assert np.array_equal(keep, want_keep)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def test_sampler_turns_negative_zero_positive():
+    # rng.normal returns 0.0 + 1.0 * x, which turns a drawn -0.0 into +0.0
+    class NegativeZeros:
+        def standard_normal(self, size):
+            out = np.full(size, -1.0)
+            out[:, 0] = -0.0
+            out[::2, 1] = -0.0
+            return out
+
+    ((cols, keep, _),) = conditions._sample_spacelike(NegativeZeros(), 100, 2)
+    assert np.array_equal(keep, np.arange(100))
+    zeros = cols == 0.0
+    assert np.count_nonzero(zeros) == 100 + 50
+    assert not np.any(np.signbit(cols[zeros]))
+    assert np.all(cols[~zeros] == -1.0)
 
 
 def sampler_failing_at(chunk):
@@ -1167,8 +1224,9 @@ def test_probe_report_independent_of_scheduling(n):
 
 
 def test_probe_memory_holds_one_sample_set():
-    # one (n + 1, samples) set with its norms, plus block temporaries; the
-    # second set is evaluated as it is drawn and never held whole
+    # one (n + 1, samples) set, plus block temporaries; its norms are
+    # computed again per block, and the second set is evaluated as it is
+    # drawn and never held whole
     n, samples = 3, 10**6
     tracemalloc.start()
     try:
@@ -1176,7 +1234,7 @@ def test_probe_memory_holds_one_sample_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (n + 2) * samples * 8 + 8 * 2**20
+    assert peak <= (n + 1) * samples * 8 + 8 * 2**20
 
 
 BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,6 +191,36 @@ def _oracle_families():
     failing = square_caps()
     failing[0] = circle_cap(0.01)
     yield "perturbed-square", failing
+    for n in (3, 5, 8):
+        feet = past_unit_feet(rng, n, 3)
+        yield f"dots-past-one-{n}", [
+            CapRep(z=z, theta=t) for f in feet
+            for z, t in ((f, 1.1), (f, 0.7), (tuple(-x for x in f), 2.0))
+        ]
+    for n in (3, 6):
+        yield f"tiny-coordinate-{n}", [
+            CapRep(z=f, theta=t)
+            for f, t in zip(tiny_last_feet(rng, 10, n), rng.uniform(0.05, 3.0, size=10).tolist())
+        ]
+
+
+def past_unit_feet(rng, n, count):
+    """Random unit feet whose dot product with themselves, summed in
+    doubles, rounds above 1."""
+    feet = []
+    while len(feet) < count:
+        (z,) = random_feet(rng, 1, n)
+        if sum(x * x for x in z) > 1.0:
+            feet.append(z)
+    return feet
+
+
+def tiny_last_feet(rng, k, n):
+    """Random unit feet whose last coordinate is about 1e-200, too small
+    to move the norm of the others."""
+    head = random_feet(rng, k, n - 1)
+    tail = (rng.normal(size=k) * 1e-200).tolist()
+    return [(*f, t) for f, t in zip(head, tail)]
 
 
 ORACLE_FAMILIES = dict(_oracle_families())
@@ -203,9 +234,19 @@ def test_certify_matches_the_per_pair_oracle(caps):
     assert repr(cert) == repr(expected)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_certify_oracle_reaches_the_exact_clamp(n):
+    # the exact dots of a foot with itself and with its antipode lie
+    # beyond +-1, so certify's clamp of the exact sum is compared
+    caps = ORACLE_FAMILIES[f"dots-past-one-{n}"]
+    exact = [sum(Fraction(x) * Fraction(y) for x, y in zip(a.z, b.z)) for a, b in zip(caps, caps[1:])]
+    assert exact[0] > 1 and exact[1] < -1
+
+
 def test_certify_precision_makes_every_foot_product_exact():
-    # certify's one-rounding fdot equals a sum of rounded products only
-    # while the product of two doubles (106 bits) is exact
+    # certify rounds each exact dot once, which the oracle's sum of
+    # rounded products equals only while the product of two doubles
+    # (106 bits) is exact
     import mpmath
 
     with mpmath.workdps(search.CERTIFY_DPS):
