@@ -26,10 +26,9 @@ _EXPORTS = {
         "sign_class", "signature", "standardize",
     ),
     "packing": (
-        "Ball", "BallSystem", "BoundReport", "ball_system_from_points",
-        "cap_fraction", "far_bound", "far_cap_measure", "far_cone_angle",
-        "hemisphere_filter", "near_bound", "near_bound_volume",
-        "reduce_ii_star", "split_system", "total_bound",
+        "Ball", "BallSystem", "BoundReport", "far_bound", "far_cap_measure",
+        "far_cone_angle", "hemisphere_filter", "near_bound",
+        "near_bound_volume", "reduce_ii_star", "split_system", "total_bound",
     ),
     "search": (
         "Certificate", "Configuration", "SearchParams", "SearchResult",

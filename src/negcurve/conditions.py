@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import gc
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -354,34 +352,6 @@ def _validate_lattice(fam: CurveFamily) -> ValidationReport:
     )
 
 
-def positive_combination_witness(
-    lat: QuadraticLattice, c1: Sequence[int], c2: Sequence[int]
-):
-    """A witness that (III) fails: integer (a, b) with positive square if one
-    exists within the grid {1..50}^2, else the real maximizer ray.
-
-    Returns None when (III) holds.
-    """
-    n1, n2 = lat.norm(c1), lat.norm(c2)
-    if n1 >= 0 or n2 >= 0:
-        raise ValueError(
-            f"a (III) witness needs negative classes, got norms {n1} and {n2}"
-        )
-    report = _validate_lattice(CurveFamily(lat, [c1, c2]))
-    if all(f.condition != "III" for f in report.failures):
-        return None
-    h = lat.pairing(c1, c2)
-    grid = range(1, 51)
-    for a in grid:
-        for b in grid:
-            val = a * a * n1 + 2 * a * b * h + b * b * n2
-            if val > 0:
-                return ("integer", (a, b), val)
-    # (III) fails only when h > 0, so t* = -h/n1 > 0; the value is the
-    # exact supremum of the norm on the positive combinations
-    return ("real", (Fraction(-h, n1), Fraction(1)), Fraction(n1 * n2 - h * h, n1))
-
-
 def _validate_model(fam: ModelFamily) -> ValidationReport:
     z, theta = cap_arrays(fam.caps)
     iu, ju = np.triu_indices(len(fam), 1)
@@ -528,60 +498,14 @@ def _sample_spacelike(
                 yield chunk.T, keep, q[keep]
 
 
-@contextmanager
-def _in_background(items: Iterable) -> Iterator[Iterator]:
-    """Iterate ``items`` on one background thread, one item ahead.
-
-    Yields an iterator over the same items in the same order.  The thread
-    makes the next item while the caller works on the one it took, and
-    then waits until the caller takes that one too.  An exception raised
-    while an item is made, ``MemoryError`` included, is raised again where
-    the caller takes that item.  However the body exits, the thread stops
-    after at most one more item and is joined.
-    """
-    ready, taken = threading.Semaphore(0), threading.Semaphore(0)
-    slot = [None]
-    stop = threading.Event()
-    end = object()
-
-    def hand(entry):
-        slot[0] = entry
-        ready.release()
-        taken.acquire()
-
-    def produce():
-        try:
-            for item in items:
-                hand((item, None))
-                if stop.is_set():
-                    return
-            hand((end, None))
-        # any exception, so that the caller is never left waiting
-        except BaseException as exc:
-            hand((end, exc))
-
-    def take():
-        while True:
-            ready.acquire()
-            item, exc = slot[0]
-            slot[0] = None
-            taken.release()
-            if exc is not None:
-                raise exc
-            if item is end:
-                return
-            yield item
-
-    thread = threading.Thread(target=produce, name="negcurve-probe-draws", daemon=True)
-    thread.start()
-    try:
-        yield take()
-    finally:
-        # once the flag is set the producer makes at most one more hand-off,
-        # which the one release here lets it finish
-        stop.set()
-        taken.release()
-        thread.join()
+def _one_ahead(worker, items: Iterator) -> Iterator:
+    """The items of ``items``, none of them None, each made on ``worker``
+    while the caller works on the one before.  An exception raised while
+    an item is made is raised where the caller takes it."""
+    pending = worker.submit(next, items, None)
+    while (item := pending.result()) is not None:
+        pending = worker.submit(next, items, None)
+        yield item
 
 
 def _probe_block(a, b, n1, n2):
@@ -670,14 +594,14 @@ def equivalence_probe(
     rows as soon as it is drawn.  The report does not depend on the
     block size.
 
-    One background thread draws both sets, and filters out the vectors
-    that are not space-like, while the calling thread evaluates the chunk
-    before; it starts once the held set is allocated and is joined before
-    the probe returns or raises.  The report does not depend on how the
-    two are scheduled: the background thread alone reads the generator,
-    in the order of a serial run, and the caller takes the chunks
-    strictly in that order.  An exception in the background thread, a
-    ``MemoryError`` included, is raised in the caller.
+    A one-worker thread pool draws both sets, and filters out the
+    vectors that are not space-like, one chunk ahead of the calling
+    thread, which evaluates the chunk before; the worker starts once the
+    held set is allocated and is joined before the probe returns or
+    raises.  The report does not depend on how the two are scheduled:
+    the worker alone reads the generator, in the order of a serial run,
+    and the caller takes the chunks strictly in that order.  An exception
+    on the worker, a ``MemoryError`` included, is raised in the caller.
     Raises :class:`MemoryError` at once when a (samples, n + 1) array of
     doubles is beyond what numpy can address.
     """
@@ -700,7 +624,11 @@ def equivalence_probe(
     boundary = dict(disagreements)
     found: dict[str, list[dict]] = {name: [] for name in disagreements}
     big_cap = iii_without_III = III_without_iii = 0
-    with _in_background(draws) as chunks:
+    # imported here, so that a cold validate, embed or bound does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        chunks = _one_ahead(worker, draws)
         # the first set's chunks fill the held set, and the rest are the second's
         lo = 0
         for cols, keep, _ in chunks:

@@ -53,8 +53,8 @@ from .conditions import (
 from .errors import InputError, NumericalError
 from .klein import CapRep
 
-# mpmath costs a cold process ~30 ms, so only the functions that use it
-# import it: far_bound for even n, cap_fraction and _half_betainc
+# mpmath costs a cold process ~30 ms, so only the function that uses it
+# imports it: far_bound for even n
 
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
@@ -125,20 +125,6 @@ class BallSystem:
             return list(
                 zip(iu[p].tolist(), ju[p].tolist(), map(kinds.__getitem__, which.tolist()))
             )
-
-
-def ball_system_from_points(points, radii) -> BallSystem:
-    """A plain Euclidean system: distances computed from the coordinates."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-d array")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    balls = tuple(
-        Ball(center=tuple(map(float, p)), radius=float(r))
-        for p, r in zip(pts, radii, strict=True)
-    )
-    return BallSystem(balls=balls, dist=dist, n=pts.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -231,35 +217,6 @@ def far_cone_angle() -> float:
 FAR_GUARD_DIGITS = 30
 
 
-def _half_betainc(n: int, sin2):
-    """I_{sin^2 alpha}((n-1)/2, 1/2) / 2, the measure of a cap of angular
-    radius alpha <= pi/2 on S^(n-1) (Li 2011), as an mpf at the working
-    precision."""
-    import mpmath
-
-    return mpmath.betainc(
-        mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, sin2, regularized=True
-    ) / 2
-
-
-def cap_fraction(n: int, alpha: float) -> float:
-    """Normalized surface measure of a spherical cap of angular radius
-    ``alpha`` on S^(n-1), by the regularized incomplete beta function."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < alpha <= math.pi:
-        raise ValueError("alpha must lie in (0, pi]")
-    if n == 1:
-        # S^0 is two points; a cap of radius < pi is a single point
-        return 0.5 if alpha < math.pi else 1.0
-    import mpmath
-
-    with mpmath.workdps(30):
-        # sin^2 is symmetric about pi/2; a cap past it is the complement
-        half = _half_betainc(n, mpmath.sin(mpmath.mpf(alpha)) ** 2)
-        return float(half if alpha <= math.pi / 2 else 1 - half)
-
-
 def far_cap_measure(n: int) -> Fraction:
     """Exact measure of the cap of angular radius arccos(7/8) on S^(n-1),
     odd n >= 3.
@@ -310,7 +267,11 @@ def far_bound(n: int) -> int:
     # the reciprocal grows like (8/sqrt(15))^n: about 0.32 n integer digits
     with mpmath.workdps(n // 2 + FAR_GUARD_DIGITS):
         cos = mpmath.mpf(FAR_COS.numerator) / FAR_COS.denominator
-        recip = 1 / _half_betainc(n, 1 - cos * cos)
+        # the measure I_{sin^2}((n-1)/2, 1/2) / 2 of the cap (Li 2011)
+        half = mpmath.betainc(
+            mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - cos * cos, regularized=True
+        ) / 2
+        recip = 1 / half
         ceiling = int(mpmath.ceil(recip))
         gap = min(ceiling - recip, recip - ceiling + 1)
         if gap < mpmath.mpf(10) ** -(FAR_GUARD_DIGITS // 2):

@@ -1,11 +1,15 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
+
+from negcurve.packing import Ball, BallSystem
 
 
 def pytest_configure(config):
@@ -63,14 +67,37 @@ def del_pezzo_lines(r):
     return lines
 
 
+def iii_witness(n1, n2, h):
+    """The closed-form witness that (III) fails for negative norms n1, n2
+    and pairing h: the integer point (a, b) = (h, -n1)/gcd on the ray of
+    the real maximizer t* = -h/n1, and its square (a C1 + b C2)^2, in
+    plain integers.  Before the division the square is
+    (-n1)(h^2 - n1 n2), so it is positive when h^2 > n1 n2; with h > 0,
+    a and b are positive too, and (III) fails."""
+    g = math.gcd(h, n1)
+    a, b = h // g, -n1 // g
+    return (a, b), a * a * n1 + 2 * a * b * h + b * b * n2
+
+
+def ball_system_from_points(points, radii):
+    """A plain Euclidean ball system: distances computed from the coordinates."""
+    pts = np.asarray(points, dtype=float)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    balls = tuple(
+        Ball(center=tuple(map(float, p)), radius=float(r))
+        for p, r in zip(pts, radii, strict=True)
+    )
+    return BallSystem(balls=balls, dist=dist, n=pts.shape[1])
+
+
 def modules_loaded_by(code: str) -> set[str]:
-    """The package submodules, numpy and mpmath that a fresh interpreter
-    has loaded after it runs ``code``."""
+    """The package submodules, numpy, mpmath and concurrent.futures that a
+    fresh interpreter has loaded after it runs ``code``."""
     script = (
         f"{code}\n"
         "import json, sys\n"
-        "print(json.dumps([m for m in sys.modules\n"
-        "                  if m.startswith('negcurve.') or m in ('numpy', 'mpmath')]))\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('negcurve.')\n"
+        "                  or m in ('numpy', 'mpmath', 'concurrent.futures')]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True

@@ -18,11 +18,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import iii_witness
 from negcurve.conditions import (
     CurveFamily,
     equivalence_probe,
     max_norm_on_ray,
-    positive_combination_witness,
     validate_family,
 )
 from negcurve.klein import CapRep, cap_of, point_of
@@ -202,8 +202,9 @@ def test_criterion_4_condition_three_vs_brute_force():
         if holds and grid_positive:
             mismatches += 1
         if not holds:
-            witness = positive_combination_witness(lat, c1, c2)
-            if witness is None or witness[2] <= 0:
+            # the closed-form witness (h, -n1)/gcd, in plain integers
+            (a, b), square = iii_witness(n1, n2, h)
+            if not (a > 0 and b > 0 and square > 0):
                 unwitnessed += 1
     ok = mismatches == 0 and unwitnessed == 0
     announce(

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import modules_loaded_by
 import negcurve
-from negcurve.conditions import positive_combination_witness
 from negcurve.klein import figure_streams
 from negcurve.packing import cone_separation_infimum, fit_constants
 
@@ -40,14 +39,12 @@ PUBLIC = {
     "DegenerateCapPairError", "InputError", "InvalidFamilyError",
     "NegCurveError", "NumericalError", "SignatureError",
     # functions
-    "ball_system_from_points", "cap_fraction", "cap_of", "certify",
-    "compatible", "embed_class", "equivalence_probe", "exact_max",
-    "far_bound", "far_cap_measure", "far_cone_angle", "greedy_max",
-    "hemisphere_filter", "inner", "max_norm_on_ray", "near_bound",
-    "near_bound_volume", "orth_disc", "pair_margins", "point_of",
-    "project", "reduce_ii_star", "sign_class", "signature",
-    "split_system", "standardize", "total_bound",
-    "validate_family",
+    "cap_of", "certify", "compatible", "embed_class", "equivalence_probe",
+    "exact_max", "far_bound", "far_cap_measure", "far_cone_angle",
+    "greedy_max", "hemisphere_filter", "inner", "max_norm_on_ray",
+    "near_bound", "near_bound_volume", "orth_disc", "pair_margins",
+    "point_of", "project", "reduce_ii_star", "sign_class", "signature",
+    "split_system", "standardize", "total_bound", "validate_family",
 }
 
 
@@ -104,8 +101,7 @@ def test_public_defaulted_parameters_are_pinned():
         elif callable(obj):
             found |= defaulted(name, obj)
     assert found == DEFAULTED
-    for fn in (positive_combination_witness, figure_streams,
-               cone_separation_infimum, fit_constants):
+    for fn in (figure_streams, cone_separation_infimum, fit_constants):
         assert defaulted(fn.__name__, fn) == set()
 
 
@@ -305,9 +301,9 @@ def _eager(source: str, modules) -> list[str]:
 
 def test_cold_path_imports_stay_inside_functions():
     # mpmath costs a cold process ~30 ms and serves only far_bound (even
-    # n), cap_fraction and certify; cli imports packing and search in the
-    # commands that run them
-    found = {path.name: _eager(path.read_text(), ["mpmath"])
+    # n) and certify, and concurrent.futures serves only the probe; cli
+    # imports packing and search in the commands that run them
+    found = {path.name: _eager(path.read_text(), ["mpmath", "concurrent"])
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
     cli = (PACKAGE / "cli.py").read_text()
@@ -316,6 +312,7 @@ def test_cold_path_imports_stay_inside_functions():
     # absolute, and not those inside a function
     probe = (
         "import mpmath.libmp\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
         "try:\n"
         "    from . import packing\n"
         "except ImportError:\n"
@@ -326,6 +323,7 @@ def test_cold_path_imports_stay_inside_functions():
         "    import mpmath\n"
         "    from .packing import total_bound\n"
     )
-    assert _eager(probe, ["mpmath", "negcurve.packing", "negcurve.search"]) == [
-        "mpmath.libmp", "negcurve.packing", "negcurve.search", "negcurve.search.certify",
+    assert _eager(probe, ["mpmath", "concurrent", "negcurve.packing", "negcurve.search"]) == [
+        "concurrent.futures", "concurrent.futures.ThreadPoolExecutor", "mpmath.libmp",
+        "negcurve.packing", "negcurve.search", "negcurve.search.certify",
     ]

@@ -276,14 +276,21 @@ def test_cold_commands_import_only_what_they_run(tmp_path):
         "from negcurve.cli import main\n"
         f"main(['validate', {path!r}])\n"
         f"main(['embed', {path!r}])\n"
-        "main(['probe', '--n', '2', '--samples', '500'])\n"
     )
     assert {"negcurve.cli", "negcurve.conditions", "numpy"} <= loaded
-    assert loaded.isdisjoint({"mpmath", "negcurve.packing", "negcurve.search"})
+    assert loaded.isdisjoint(
+        {"mpmath", "negcurve.packing", "negcurve.search", "concurrent.futures"}
+    )
+    # the probe adds only the thread pool that draws its samples
+    probe = modules_loaded_by(
+        "from negcurve.cli import main\nmain(['probe', '--n', '2', '--samples', '500'])"
+    )
+    assert probe - loaded == {"concurrent.futures"}
     # bound loads packing, and mpmath for fit_constants' far_bound of even
     # ranks
     bound = modules_loaded_by("from negcurve.cli import main\nmain(['bound', '--n', '3'])")
-    assert {"mpmath", "negcurve.packing"} <= bound and "negcurve.search" not in bound
+    assert {"mpmath", "negcurve.packing"} <= bound
+    assert bound.isdisjoint({"negcurve.search", "concurrent.futures"})
 
 
 def standard_family(n):

@@ -6,13 +6,12 @@ import sys
 import threading
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import finished_within
+from conftest import ball_system_from_points, finished_within, iii_witness
 from negcurve import conditions
 from negcurve.conditions import (
     CurveFamily,
@@ -21,13 +20,12 @@ from negcurve.conditions import (
     equivalence_probe,
     max_norm_on_ray,
     pair_margins,
-    positive_combination_witness,
     validate_family,
 )
 from negcurve.errors import DegenerateCapPairError
 from negcurve.klein import CapRep, Region, cap_of, point_of, project
 from negcurve.lorentz import QuadraticLattice, embed_class, signature
-from negcurve.packing import ball_system_from_points, hemisphere_filter, reduce_ii_star
+from negcurve.packing import hemisphere_filter, reduce_ii_star
 from negcurve.search import SearchParams, _adjacency, candidate_caps, compatible
 
 RNG = np.random.default_rng(2024)
@@ -97,8 +95,8 @@ def test_check_III_examples():
     # the supremum is (n1 n2 - h^2)/n1 = (1 - 4)/(-1) = 3
     assert failed(lattice_report(DIAG3, c1, c2)) == {((0, 1), "III"): -3.0}
     assert grid_has_positive(-1, -1, 2)
-    kind, (a, b), val = positive_combination_witness(DIAG3, c1, c2)
-    assert kind == "integer" and (a, b) == (1, 1) and val == 2
+    # the closed-form witness (h, -n1) = (2, 1) has square (-n1)(h^2 - n1 n2) = 3
+    assert iii_witness(-1, -1, 2) == ((2, 1), 3)
 
     # boundary case: norms -2, -2, pairing 2 -> supremum exactly 0
     c1, c2 = (0, 1, 1), (0, -1, -1)
@@ -122,22 +120,25 @@ def test_check_III_negative_pairing_branch():
 def test_check_III_requires_negative_classes():
     # (III) is decided only on pairs of negative classes
     assert lattice_report(DIAG3, (1, 0, 0), (0, 1, 0)).checked["III"] == 0
-    with pytest.raises(ValueError):
-        positive_combination_witness(DIAG3, (1, 0, 0), (0, 1, 0))
 
 
 def test_witness_real_maximizer():
-    # (III) fails, but only on a ratio a/b near sqrt(2) that no a, b <= 50
-    # reach, so the witness is the exact real maximizer ray
-    n1, n2, h = -(10**8), -2 * 10**8, 141421357
-    lat = QuadraticLattice([[n1, h], [h, n2]])
-    assert failed(lattice_report(lat, (1, 0), (0, 1)))[(0, 1), "III"] < 0
-    assert positive_combination_witness(lat, (1, 0), (0, 1)) == (
-        "real", (Fraction(141421357, 10**8), Fraction(1)), Fraction(215721449, 10**8)
-    )
-    assert positive_combination_witness(lat, (0, 1), (1, 0)) == (
-        "real", (Fraction(141421357, 2 * 10**8), Fraction(1)), Fraction(215721449, 2 * 10**8)
-    )
+    # (III) fails, and the integer point on the real maximizer ray
+    # t* = -h/n1 witnesses it, where a grid of a, b <= 50 finds none
+    cases = [
+        # only a ratio a/b near sqrt(2) is positive
+        (-(10**8), -2 * 10**8, 141421357, ((141421357, 10**8), 21572144900000000)),
+        (-2 * 10**8, -(10**8), 141421357, ((141421357, 2 * 10**8), 43144289800000000)),
+        # (1001, 1) is itself an integer witness of square 2001
+        (-1, -(10**6), 1001, ((1001, 1), 2001)),
+    ]
+    for n1, n2, h, witness in cases:
+        lat = QuadraticLattice([[n1, h], [h, n2]])
+        assert failed(lattice_report(lat, (1, 0), (0, 1)))[(0, 1), "III"] < 0
+        assert not grid_has_positive(n1, n2, h)
+        (a, b), square = iii_witness(n1, n2, h)
+        assert ((a, b), square) == witness
+        assert math.gcd(a, b) == 1 and lat.norm((a, b)) == square > 0
 
 
 def test_check_III_against_grid_oracle():
@@ -162,11 +163,12 @@ def test_check_III_against_grid_oracle():
         h = lat.pairing(c1, c2)
         holds = ((0, 1), "III") not in failed(lattice_report(lat, c1, c2))
         positive = grid_has_positive(n1, n2, h)
+        (a, b), square = iii_witness(n1, n2, h)
         if holds:
             assert not positive, (n1, n2, h)
+            assert h <= 0 or square <= 0, (n1, n2, h)
         else:
-            witness = positive_combination_witness(lat, c1, c2)
-            assert witness is not None and witness[2] > 0
+            assert a > 0 and b > 0 and math.gcd(a, b) == 1 and square > 0, (n1, n2, h)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,10 +1133,11 @@ def test_sampler_turns_negative_zero_positive():
     assert np.all(cols[~zeros] == -1.0)
 
 
-def sampler_failing_at(chunk):
-    """``_sample_spacelike`` that raises ``MemoryError`` where it would
-    yield its ``chunk``-th chunk, counted over both sample sets, and the
-    threads it raised on."""
+def sampler_failing_at(chunk, error=None):
+    """``_sample_spacelike`` that raises ``error``, by default a
+    ``MemoryError``, where it would yield its ``chunk``-th chunk, counted
+    over both sample sets (never, when ``chunk`` is None); a list with an
+    entry per chunk it yielded; and the threads it raised on."""
     sampler = conditions._sample_spacelike
     drawn = []
     raised_on = []
@@ -1143,16 +1146,16 @@ def sampler_failing_at(chunk):
         for item in sampler(rng, count, n):
             if len(drawn) == chunk:
                 raised_on.append(threading.current_thread())
-                raise MemoryError("Unable to allocate the next chunk")
+                raise error or MemoryError("Unable to allocate the next chunk")
             drawn.append(None)
             yield item
 
-    return failing, raised_on
+    return failing, drawn, raised_on
 
 
 def probe_block_failing_at(block):
     """``_probe_block`` that raises on its ``block``-th call, after a pause
-    in which the background thread draws ahead and waits to hand over."""
+    in which the worker thread draws as far ahead as it may."""
     evaluate = conditions._probe_block
     calls = []
 
@@ -1185,7 +1188,7 @@ def test_probe_joins_its_thread_on_return():
 def test_probe_raises_a_background_memory_error(monkeypatch, chunk):
     # the first set has 9 chunks: its first, its second, and the second
     # set's first
-    failing, raised_on = sampler_failing_at(chunk)
+    failing, _, raised_on = sampler_failing_at(chunk)
     monkeypatch.setattr(conditions, "_sample_spacelike", failing)
     caller = []
 
@@ -1198,11 +1201,36 @@ def test_probe_raises_a_background_memory_error(monkeypatch, chunk):
     assert len(raised_on) == 1 and raised_on[0] is not caller[0]
 
 
+class Halt(BaseException):
+    """Not an ``Exception``: a relay that caught only those would lose it,
+    and leave the caller waiting."""
+
+
+def test_probe_raises_a_background_base_exception(monkeypatch):
+    failing, _, raised_on = sampler_failing_at(1, Halt("halted on the worker"))
+    monkeypatch.setattr(conditions, "_sample_spacelike", failing)
+    caller = []
+
+    def probe():
+        caller.append(threading.current_thread())
+        return probe_joining_its_thread(3, 50_000, 1)
+
+    with pytest.raises(Halt, match="halted on the worker"):
+        finished_within(60, probe)
+    assert len(raised_on) == 1 and raised_on[0] is not caller[0]
+
+
 @pytest.mark.parametrize("block", [0, 2])
 def test_probe_joins_its_thread_when_evaluation_raises(monkeypatch, block):
+    first_set = len(list(conditions._sample_spacelike(np.random.default_rng(1), 50_000, 3)))
+    counting, drawn, _ = sampler_failing_at(None)
+    monkeypatch.setattr(conditions, "_sample_spacelike", counting)
     monkeypatch.setattr(conditions, "_probe_block", probe_block_failing_at(block))
     with pytest.raises(RuntimeError, match="evaluation failed"):
         finished_within(60, lambda: probe_joining_its_thread(3, 50_000, 1))
+    # the caller took the first set and the second set's chunks up to
+    # ``block``; the worker, during the pause, drew at most one more
+    assert first_set + block + 1 <= len(drawn) <= first_set + block + 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import del_pezzo_lines
+from conftest import ball_system_from_points, del_pezzo_lines
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
 from negcurve.klein import CapRep, cap_of, project
@@ -19,8 +19,6 @@ from negcurve.packing import (
     FIT_HORIZON,
     Ball,
     BallSystem,
-    ball_system_from_points,
-    cap_fraction,
     cone_separation_infimum,
     far_bound,
     far_cone_angle,
@@ -346,6 +344,23 @@ def test_far_cone_angle_value():
     assert phi < math.pi / 2
     # half aperture equals arccos(7/8)
     assert phi / 2 == pytest.approx(math.acos(7.0 / 8.0), abs=1e-14)
+
+
+def cap_fraction(n, alpha):
+    """Normalized surface measure of a spherical cap of angular radius
+    ``alpha`` on S^(n-1), by the regularized incomplete beta function:
+    I_{sin^2 alpha}((n-1)/2, 1/2) / 2 for alpha <= pi/2 (Li 2011).  The
+    oracle for the package's cap measures."""
+    if n == 1:
+        # S^0 is two points; a cap of radius < pi is a single point
+        return 0.5 if alpha < math.pi else 1.0
+    with mpmath.workdps(30):
+        sin2 = mpmath.sin(mpmath.mpf(alpha)) ** 2
+        half = mpmath.betainc(
+            mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, sin2, regularized=True
+        ) / 2
+        # sin^2 is symmetric about pi/2; a cap past it is the complement
+        return float(half if alpha <= math.pi / 2 else 1 - half)
 
 
 def test_cap_fraction_closed_forms():
