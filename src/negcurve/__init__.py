@@ -11,7 +11,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "conditions": (
         "CurveFamily", "ModelFamily", "ValidationReport", "equivalence_probe",
-        "max_norm_on_ray", "pair_margins", "validate_family",
+        "pair_margins", "validate_family",
     ),
     "errors": (
         "DegenerateCapPairError", "InputError", "InvalidFamilyError",

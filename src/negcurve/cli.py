@@ -46,7 +46,8 @@ from .klein import Region, _project, cap_of
 from .lorentz import QuadraticLattice, embed_class
 
 # the commands that run packing and search import them, so a cold
-# validate, embed or probe loads neither of them, nor mpmath
+# validate, embed or probe loads neither of them, and only search loads
+# mpmath
 
 SCHEMA = "negcurve/run-report/v1"
 

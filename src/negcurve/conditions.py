@@ -110,34 +110,6 @@ def coincident_feet(Z, Z2=None) -> np.ndarray:
     return same
 
 
-@dataclass(frozen=True)
-class RayMax:
-    """Maximum of f(a) = |a c_i + c_j|_H^2 along a ray, in canonical position
-    c_i = (0, 1, 0, ..., 0), c_j = (cos theta_j, cos delta, sin delta, 0, ...).
-
-    ``a_star = -cos(delta)`` is the unconstrained maximizer with value
-    cos^2(theta_j) - sin^2(delta).  When a_star <= 0 the supremum over
-    a > 0 is instead cos^2(theta_j) - 1, approached as a -> 0+;
-    ``sup_positive`` always reports the supremum over the open ray.
-    """
-
-    a_star: float
-    value: float
-    sup_positive: float
-
-
-def max_norm_on_ray(theta_j: float, delta: float) -> RayMax:
-    if not 0.0 < theta_j < math.pi:
-        raise ValueError(f"theta_j must lie in (0, pi), got {theta_j!r}")
-    if not 0.0 < delta <= math.pi:
-        raise ValueError(f"delta must lie in (0, pi], got {delta!r}")
-    a_star = -math.cos(delta)
-    cos_tj = math.cos(theta_j)
-    value = cos_tj * cos_tj - math.sin(delta) ** 2
-    sup_positive = value if a_star > 0 else cos_tj * cos_tj - 1.0
-    return RayMax(a_star=a_star, value=value, sup_positive=sup_positive)
-
-
 # ---------------------------------------------------------------------------
 # families and validation reports
 # ---------------------------------------------------------------------------

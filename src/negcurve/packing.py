@@ -53,9 +53,6 @@ from .conditions import (
 from .errors import InputError, NumericalError
 from .klein import CapRep
 
-# mpmath costs a cold process ~30 ms, so only the function that uses it
-# imports it: far_bound for even n
-
 #: horizon of ranks over which the (u, v) envelope constants are fitted
 FIT_HORIZON = 64
 
@@ -213,10 +210,6 @@ def far_cone_angle() -> float:
     return 2.0 * math.acos(FAR_COS)
 
 
-#: decimal digits kept beyond the integer part of the even-n reciprocal
-FAR_GUARD_DIGITS = 30
-
-
 def far_cap_measure(n: int) -> Fraction:
     """Exact measure of the cap of angular radius arccos(7/8) on S^(n-1),
     odd n >= 3.
@@ -240,6 +233,35 @@ def far_cap_measure(n: int) -> Fraction:
     return Fraction(whole - cut, 2 * whole)
 
 
+def _atan_series(power: int, q: int) -> int:
+    """sum_j (-1)^j floor(y / ((2j + 1) q^j)) from power = floor(y) (floors
+    compose), within its term count + 1 of y sqrt(q) atan(1/sqrt(q))."""
+    total = j = 0
+    while power:
+        total += (-1) ** j * (power // (2 * j + 1))
+        power, j = power // q, j + 1
+    return total
+
+
+def _far_reciprocal_floor(n: int, bits: int) -> int | None:
+    """floor(1/sigma_n) for even n (see :func:`far_bound`), pi by Machin's
+    formula, in integer units of 2^-bits; None when left undecided."""
+    one = 1 << bits
+    pi = _atan_series(16 * one // 5, 25) - _atan_series(4 * one // 239, 239**2)
+    den, term = _atan_series(2 * one, 15), 7 * one // 64  # 2S and T_2
+    for k in range(4, n + 1, 2):
+        den -= 15 * term
+        term = term * 15 * (k - 2) // (64 * (k - 1))
+    # a series has at most bits - 1 terms, as q >= 15 and power < 2^(bits + 2),
+    # and its tail is below 1; a floored T_k is below T_k by < 1/(1 - 15/64)
+    err = 2 * bits + 15 * n
+    if den <= err:
+        return None
+    root = math.isqrt(15 * one * one)  # sqrt(15) 2^bits lies in [root, root + 1)
+    lo = root * (pi - err) // (one * (den + err))
+    return lo if lo == (root + 1) * (pi + err) // (one * (den - err)) else None
+
+
 @lru_cache(maxsize=None)
 def far_bound(n: int) -> int:
     """The exact ceiling of the reciprocal measure of a cap of radius
@@ -252,9 +274,15 @@ def far_bound(n: int) -> int:
     dodecahedron vertices on S^2 (far_bound(3) = 16).  So the far term is
     not proven.
 
-    Odd n uses the rational measure.  Even n evaluates it with at least
-    FAR_GUARD_DIGITS digits past the integer part of the reciprocal, and
-    refuses a reciprocal too close to an integer to round.
+    Odd n uses the rational measure.  For even n, tan(alpha/2) = 1/sqrt(15)
+    gives alpha = 2S/sqrt(15), S = sum_j (-1)^j / ((2j + 1) 15^j), and
+    reducing int_0^alpha sin^(n-2) gives 1/sigma_n = sqrt(15) pi / (2S -
+    15 t_n), t_n the sum over even k <= n - 2 of T_2 = 7/64 and T_k =
+    T_(k-2) 15 (k - 2) / (64 (k - 1)).  Integers enclose it at doubling
+    precision until both ends have one floor.  That ends: e^(i alpha) is no
+    root of unity (4x^2 - 7x + 4 is not monic), so by Baker (1966) i k alpha
+    - log(-1) is not algebraic for an integer k; k = 1/sigma_n would make
+    it i k sqrt(15) t_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -262,23 +290,10 @@ def far_bound(n: int) -> int:
         return 2
     if n % 2 == 1:
         return math.ceil(1 / far_cap_measure(n))
-    import mpmath
-
-    # the reciprocal grows like (8/sqrt(15))^n: about 0.32 n integer digits
-    with mpmath.workdps(n // 2 + FAR_GUARD_DIGITS):
-        cos = mpmath.mpf(FAR_COS.numerator) / FAR_COS.denominator
-        # the measure I_{sin^2}((n-1)/2, 1/2) / 2 of the cap (Li 2011)
-        half = mpmath.betainc(
-            mpmath.mpf(n - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - cos * cos, regularized=True
-        ) / 2
-        recip = 1 / half
-        ceiling = int(mpmath.ceil(recip))
-        gap = min(ceiling - recip, recip - ceiling + 1)
-        if gap < mpmath.mpf(10) ** -(FAR_GUARD_DIGITS // 2):
-            raise NumericalError(
-                f"far_bound({n}): reciprocal too close to an integer to round"
-            )
-    return ceiling
+    bits = 64 + 9 * n // 4  # the enclosure loses about 2.09 n bits
+    while (floor := _far_reciprocal_floor(n, bits)) is None:
+        bits *= 2
+    return floor + 1
 
 
 @lru_cache(maxsize=None)

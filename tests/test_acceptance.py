@@ -18,11 +18,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import iii_witness
+from conftest import iii_witness, max_norm_on_ray
 from negcurve.conditions import (
     CurveFamily,
     equivalence_probe,
-    max_norm_on_ray,
     validate_family,
 )
 from negcurve.klein import CapRep, cap_of, point_of
@@ -96,6 +95,61 @@ def test_criterion_1_companion_exact_regime():
         "(companion) I<->i, II<->ii exact; III->iii one-directional; "
         "III<->iii exact on theta1+theta2 <= pi",
     )
+
+
+def delta_tail(x, n):
+    """P(delta > x) for the angle delta between two independent uniform
+    directions on S^(n-1), density proportional to sin^(n-2), by the
+    reduction formula int_0^x sin^m = -sin^(m-1) x cos x / m
+    + (m-1)/m int_0^x sin^(m-2)."""
+    m = n - 2
+    part, whole = (x, math.pi) if m % 2 == 0 else (1 - np.cos(x), 2.0)
+    for k in range(m % 2 + 2, m + 1, 2):
+        part = -np.sin(x) ** (k - 1) * np.cos(x) / k + part * (k - 1) / k
+        whole = whole * (k - 1) / k
+    return 1 - part / whole
+
+
+def iii_without_III_rate(n, nodes=64):
+    """The probability that a probe pair satisfies (iii) but not (III).
+
+    Under the probe's sampler theta = arccos t, with t sqrt(n) Student's t
+    on n degrees of freedom conditioned on |t| < 1, so theta has density
+    proportional to sin(theta) (1 + cos^2 theta)^(-(n+1)/2) on (0, pi);
+    delta is independent of both radii.  The event is theta_1 + theta_2
+    > pi and delta > 2 pi - theta_1 - theta_2.  The integrand is smooth
+    in (theta_1, theta_2), so a double-precision Gauss-Legendre rule
+    over the triangle converges well before ``nodes`` = 64."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = (u + 1) / 2, w / 2
+
+    def density(theta):
+        return np.sin(theta) * (1 + np.cos(theta) ** 2) ** (-(n + 1) / 2)
+
+    norm = math.pi * np.sum(w * density(math.pi * u))
+    t1 = math.pi * u[:, None]
+    t2 = math.pi - t1 * u  # theta_2 in (pi - theta_1, pi)
+    inner = t1 * w * density(t2) * delta_tail(2 * math.pi - t1 - t2, n)
+    return float(math.pi * np.sum(w[:, None] * density(t1) * inner) / norm**2)
+
+
+def test_iii_without_III_rate_oracle():
+    # at n = 2 the rate is (sqrt 2 - 1)/4; the other counts per 10^5 pairs
+    # are nested mpmath quadratures at 20 digits
+    assert iii_without_III_rate(2) == pytest.approx((math.sqrt(2) - 1) / 4, rel=1e-12)
+    expected = {3: 6333.00, 4: 4313.71, 5: 3058.36, 8: 1162.91}
+    for n, count in expected.items():
+        assert 1e5 * iii_without_III_rate(n) == pytest.approx(count, abs=0.01)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_probe_iii_without_III_matches_the_exact_rate(n):
+    # each pair is drawn independently, so the count is binomial
+    samples, p = 100_000, iii_without_III_rate(n)
+    sigma = math.sqrt(samples * p * (1 - p))
+    for seed in (1, 2, 3):
+        count = equivalence_probe(n, samples, seed=seed).iii_without_III
+        assert abs(count - samples * p) < 5 * sigma, (n, seed, count, samples * p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,10 @@ PUBLIC = {
     # functions
     "cap_of", "certify", "compatible", "embed_class", "equivalence_probe",
     "exact_max", "far_bound", "far_cap_measure", "far_cone_angle",
-    "greedy_max", "hemisphere_filter", "inner", "max_norm_on_ray",
-    "near_bound", "near_bound_volume", "orth_disc", "pair_margins",
-    "point_of", "project", "reduce_ii_star", "sign_class", "signature",
-    "split_system", "standardize", "total_bound", "validate_family",
+    "greedy_max", "hemisphere_filter", "inner", "near_bound",
+    "near_bound_volume", "orth_disc", "pair_margins", "point_of", "project",
+    "reduce_ii_star", "sign_class", "signature", "split_system",
+    "standardize", "total_bound", "validate_family",
 }
 
 
@@ -278,11 +278,12 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def _top_level_imports(source: str) -> set[str]:
+def _top_level_imports(source: str, nodes=_own_nodes) -> set[str]:
     """The absolute names a package module imports outside its functions
-    and classes: each module, and each module.name of a from-import."""
+    and classes (or, with ``nodes=ast.walk``, anywhere in it): each
+    module, and each module.name of a from-import."""
     found = set()
-    for node in _own_nodes(ast.parse(source)):
+    for node in nodes(ast.parse(source)):
         if isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -291,21 +292,25 @@ def _top_level_imports(source: str) -> set[str]:
     return found
 
 
-def _eager(source: str, modules) -> list[str]:
-    """The names from ``modules`` that ``source`` imports at top level."""
+def _eager(source: str, modules, nodes=_own_nodes) -> list[str]:
+    """The names from ``modules`` that ``source`` imports at top level
+    (or, with ``nodes=ast.walk``, anywhere)."""
     return sorted(
-        name for name in _top_level_imports(source)
+        name for name in _top_level_imports(source, nodes)
         if any(name == m or name.startswith(m + ".") for m in modules)
     )
 
 
 def test_cold_path_imports_stay_inside_functions():
-    # mpmath costs a cold process ~30 ms and serves only far_bound (even
-    # n) and certify, and concurrent.futures serves only the probe; cli
-    # imports packing and search in the commands that run them
+    # mpmath costs a cold process ~30 ms and serves only certify, and
+    # concurrent.futures serves only the probe; cli imports packing and
+    # search in the commands that run them
     found = {path.name: _eager(path.read_text(), ["mpmath", "concurrent"])
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+    # far_bound is integer arithmetic: packing imports no mpmath at all
+    packing = (PACKAGE / "packing.py").read_text()
+    assert _eager(packing, ["mpmath"], ast.walk) == []
     cli = (PACKAGE / "cli.py").read_text()
     assert _eager(cli, ["negcurve.packing", "negcurve.search"]) == []
     # the guard sees imports under a top-level if or try, relative and
@@ -327,3 +332,4 @@ def test_cold_path_imports_stay_inside_functions():
         "concurrent.futures", "concurrent.futures.ThreadPoolExecutor", "mpmath.libmp",
         "negcurve.packing", "negcurve.search", "negcurve.search.certify",
     ]
+    assert _eager(probe, ["mpmath"], ast.walk) == ["mpmath", "mpmath.libmp"]

@@ -286,11 +286,11 @@ def test_cold_commands_import_only_what_they_run(tmp_path):
         "from negcurve.cli import main\nmain(['probe', '--n', '2', '--samples', '500'])"
     )
     assert probe - loaded == {"concurrent.futures"}
-    # bound loads packing, and mpmath for fit_constants' far_bound of even
-    # ranks
-    bound = modules_loaded_by("from negcurve.cli import main\nmain(['bound', '--n', '3'])")
-    assert {"mpmath", "negcurve.packing"} <= bound
-    assert bound.isdisjoint({"negcurve.search", "concurrent.futures"})
+    # bound adds only packing: the envelope fit's far_bound is integer
+    # arithmetic at every rank
+    for args in (["--n", "3"], ["--n", "4"], ["--file", path]):
+        bound = modules_loaded_by(f"from negcurve.cli import main\nmain(['bound', *{args!r}])")
+        assert bound - loaded == {"negcurve.packing"}, args
 
 
 def standard_family(n):

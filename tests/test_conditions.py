@@ -11,14 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ball_system_from_points, finished_within, iii_witness
+from conftest import (
+    ball_system_from_points,
+    finished_within,
+    iii_witness,
+    max_norm_on_ray,
+)
 from negcurve import conditions
 from negcurve.conditions import (
     CurveFamily,
     ModelFamily,
     cap_arrays,
     equivalence_probe,
-    max_norm_on_ray,
     pair_margins,
     validate_family,
 )

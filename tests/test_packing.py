@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ball_system_from_points, del_pezzo_lines
+from negcurve import packing
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
 from negcurve.klein import CapRep, cap_of, project
@@ -454,9 +455,52 @@ def test_far_bound_holds_far_codes(n):
 
 
 def test_far_bound_matches_60_digit_reference():
+    # every rank bound --n reaches before its envelope overflows
     assert far_bound(50) == 42477174512562278
-    mismatches = [n for n in range(1, 129) if far_bound(n) != reference_far_bound(n)]
+    mismatches = [n for n in range(1, 566) if far_bound(n) != reference_far_bound(n)]
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "n, length, leading, sha256",
+    [
+        (1000, 317, "37190775433922988316",
+         "e8bba1b023ded1301a48e66d0700967456f78c8e7270062654133e1a3e382882"),
+        (2000, 632, "58249967049745853456",
+         "9c5680caca338e0f7ba52d13054c32680de0e71de6afa096faafe32f64c05a46"),
+        (4000, 1263, "10104610105522276235",
+         "b5b3165f4166903a3c42b0e9f5fc0bcc6619a576acb02d4107bd1885ed6309f6"),
+    ],
+)
+def test_far_bound_pinned_at_large_ranks(n, length, leading, sha256):
+    # the decimal digits of the values the earlier mpmath incomplete-beta
+    # far_bound gave: their count, the first 20 and the SHA-256 of all
+    value = str(far_bound(n))
+    assert (len(value), value[:20]) == (length, leading)
+    assert hashlib.sha256(value.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("n", [2, 4, 50, 564])
+def test_far_reciprocal_floor_reports_undecided(n):
+    # 2n bits leave the enclosure of 1/sigma_n too wide to floor; the
+    # starting precision of far_bound decides it, and so does twice that
+    assert packing._far_reciprocal_floor(n, 2 * n) is None
+    bits = 64 + 9 * n // 4
+    for b in (bits, 2 * bits):
+        assert packing._far_reciprocal_floor(n, b) == far_bound(n) - 1
+
+
+def test_far_bound_doubles_an_undecided_precision(monkeypatch):
+    floor, calls = packing._far_reciprocal_floor, []
+
+    def undecided_once(n, bits):
+        calls.append(bits)
+        return None if len(calls) == 1 else floor(n, bits)
+
+    monkeypatch.setattr(packing, "_far_reciprocal_floor", undecided_once)
+    # the cache would skip the call
+    assert far_bound.__wrapped__(40) == reference_far_bound(40)
+    assert calls == [154, 308]
 
 
 def test_far_cap_measure_is_exact():
