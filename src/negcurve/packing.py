@@ -210,32 +210,34 @@ def far_cone_angle() -> float:
     return 2.0 * math.acos(FAR_COS)
 
 
+def _reduction_tail(n: int) -> tuple[int, int]:
+    """p, q with sigma_n = sigma_f - c_f p/q, f = 2 + n % 2: reducing
+    int_0^alpha sin^k over W_k = int_0^pi sin^k gives sigma_(k+2) = sigma_k
+    - c_k, c_k = cos(alpha) sin^(k-1)(alpha) / (k W_k), and sin^2(alpha) =
+    15/64, k W_k = (k - 1) W_(k-2) make c_k / c_(k-2) = rho_k = 15 (k - 2) /
+    (64 (k - 1)).  p/q sums rho_(f+2)...rho_k over k = n (mod 2), f <= k <=
+    n - 2, by Horner from the top with no gcd."""
+    p, q = int(n >= 4), 1
+    for k in range(n - 2, 3 + n % 2, -2):
+        q *= 64 * (k - 1)
+        p = q + 15 * (k - 2) * p
+    return p, q
+
+
 def far_cap_measure(n: int) -> Fraction:
     """Exact measure of the cap of angular radius arccos(7/8) on S^(n-1),
-    odd n >= 3.
-
-    With u = cos t the measure is int_c^1 (1-u^2)^k du over
-    int_{-1}^1 (1-u^2)^k du, k = (n-3)/2, a ratio of polynomials in
-    c = 7/8.  Both antiderivatives, sum_j (-1)^j C(k, j) u^(2j+1)/(2j+1)
-    at u = 1 and u = c, are summed as integers over their common
-    denominator lcm(1, 3, ..., 2k+1) * 8^(2k+1).
-    """
+    odd n >= 3: sigma_n = (128 q - 105 p) / (2048 q), as sigma_3 = 1/16 and
+    c_3 = 105/2048 in :func:`_reduction_tail`."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    k = (n - 3) // 2
-    p, q = FAR_COS.numerator, FAR_COS.denominator
-    lcm = math.lcm(*range(1, 2 * k + 2, 2))
-    whole = cut = 0
-    for j in range(k + 1):
-        term = (-1) ** j * math.comb(k, j) * (lcm // (2 * j + 1))
-        whole += term * q ** (2 * k + 1)
-        cut += term * p ** (2 * j + 1) * q ** (2 * (k - j))
-    return Fraction(whole - cut, 2 * whole)
+    p, q = _reduction_tail(n)
+    return Fraction(128 * q - 105 * p, 2048 * q)
 
 
 def _atan_series(power: int, q: int) -> int:
     """sum_j (-1)^j floor(y / ((2j + 1) q^j)) from power = floor(y) (floors
-    compose), within its term count + 1 of y sqrt(q) atan(1/sqrt(q))."""
+    compose), within its term count + 1 of y sqrt(q) atan(1/sqrt(q)): at most
+    log_q(power) + 2 < b/3 + 3 for q >= 15 and power < 2^(b + 2)."""
     total = j = 0
     while power:
         total += (-1) ** j * (power // (2 * j + 1))
@@ -248,18 +250,15 @@ def _far_reciprocal_floor(n: int, bits: int) -> int | None:
     formula, in integer units of 2^-bits; None when left undecided."""
     one = 1 << bits
     pi = _atan_series(16 * one // 5, 25) - _atan_series(4 * one // 239, 239**2)
-    den, term = _atan_series(2 * one, 15), 7 * one // 64  # 2S and T_2
-    for k in range(4, n + 1, 2):
-        den -= 15 * term
-        term = term * 15 * (k - 2) // (64 * (k - 1))
-    # a series has at most bits - 1 terms, as q >= 15 and power < 2^(bits + 2),
-    # and its tail is below 1; a floored T_k is below T_k by < 1/(1 - 15/64)
-    err = 2 * bits + 15 * n
-    if den <= err:
+    p, q = _reduction_tail(n)
+    q *= 64
+    den = q * _atan_series(2 * one, 15) - 105 * p * one  # (64 q 2S - 105 p) 2^bits
+    err = bits + 6  # >= 2 (bits/3 + 3): bounds the errors of pi and 2S, q err that of den
+    if den <= q * err:
         return None
     root = math.isqrt(15 * one * one)  # sqrt(15) 2^bits lies in [root, root + 1)
-    lo = root * (pi - err) // (one * (den + err))
-    return lo if lo == (root + 1) * (pi + err) // (one * (den - err)) else None
+    lo = q * root * (pi - err) // (one * (den + q * err))
+    return lo if lo == q * (root + 1) * (pi + err) // (one * (den - q * err)) else None
 
 
 @lru_cache(maxsize=None)
@@ -274,15 +273,15 @@ def far_bound(n: int) -> int:
     dodecahedron vertices on S^2 (far_bound(3) = 16).  So the far term is
     not proven.
 
-    Odd n uses the rational measure.  For even n, tan(alpha/2) = 1/sqrt(15)
-    gives alpha = 2S/sqrt(15), S = sum_j (-1)^j / ((2j + 1) 15^j), and
-    reducing int_0^alpha sin^(n-2) gives 1/sigma_n = sqrt(15) pi / (2S -
-    15 t_n), t_n the sum over even k <= n - 2 of T_2 = 7/64 and T_k =
-    T_(k-2) 15 (k - 2) / (64 (k - 1)).  Integers enclose it at doubling
+    Both parities share one exact recurrence, :func:`_reduction_tail`; odd
+    n is :func:`far_cap_measure`.  For even n, sigma_2 = alpha/pi, c_2 =
+    7 sqrt(15) / (64 pi) and alpha = 2 atan(1/sqrt(15)) = 2S/sqrt(15), S =
+    sum_j (-1)^j / ((2j + 1) 15^j), give 1/sigma_n = 64 q sqrt(15) pi /
+    (64 q 2S - 105 p); integers enclose pi, 2S and sqrt(15) at doubling
     precision until both ends have one floor.  That ends: e^(i alpha) is no
     root of unity (4x^2 - 7x + 4 is not monic), so by Baker (1966) i k alpha
-    - log(-1) is not algebraic for an integer k; k = 1/sigma_n would make
-    it i k sqrt(15) t_n.
+    - log(-1) is not algebraic for an integer k; 1/sigma_n = k would make it
+    7 i k sqrt(15) p / (64 q).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -17,7 +17,6 @@ from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
     FAR_COS,
-    FIT_HORIZON,
     Ball,
     BallSystem,
     cone_separation_infimum,
@@ -464,17 +463,24 @@ def test_far_bound_matches_60_digit_reference():
 @pytest.mark.parametrize(
     "n, length, leading, sha256",
     [
+        (999, 317, "17995903022507162384",
+         "4fe5a772a1a7f131885629aa20ff188a9ee3b90d6b490cec6811e0eb17427e05"),
         (1000, 317, "37190775433922988316",
          "e8bba1b023ded1301a48e66d0700967456f78c8e7270062654133e1a3e382882"),
+        (1999, 632, "28193093512076912116",
+         "271d4dbaf782b4d550b87210fdaa24fa531861450540a93b8141462ed4d9e276"),
         (2000, 632, "58249967049745853456",
          "9c5680caca338e0f7ba52d13054c32680de0e71de6afa096faafe32f64c05a46"),
+        (3999, 1262, "48912618270153958754",
+         "2d76d581e0b696a84459ee4c5707ff15f6fe153410e76015e95a59714224f6f2"),
         (4000, 1263, "10104610105522276235",
          "b5b3165f4166903a3c42b0e9f5fc0bcc6619a576acb02d4107bd1885ed6309f6"),
     ],
 )
 def test_far_bound_pinned_at_large_ranks(n, length, leading, sha256):
-    # the decimal digits of the values the earlier mpmath incomplete-beta
-    # far_bound gave: their count, the first 20 and the SHA-256 of all
+    # the decimal digits of the values the earlier far_bound gave (mpmath's
+    # incomplete beta at even n, the binomial sum of the antiderivative at
+    # odd n): their count, the first 20 and the SHA-256 of all
     value = str(far_bound(n))
     assert (len(value), value[:20]) == (length, leading)
     assert hashlib.sha256(value.encode()).hexdigest() == sha256
@@ -503,6 +509,22 @@ def test_far_bound_doubles_an_undecided_precision(monkeypatch):
     assert calls == [154, 308]
 
 
+@pytest.mark.parametrize("bits", [4, 8, 100, 154, 1128, 4000])
+def test_atan_series_stays_within_its_error_bound(bits):
+    # each series of the even-n enclosure lies within bits/3 + 3 of its
+    # value, so pi (two series) and 2S within bits + 6
+    one = 1 << bits
+    with mpmath.workprec(bits + 64):
+        root = mpmath.sqrt(15)
+        series = [
+            (16 * one // 5, 25, 16 * one * mpmath.atan(mpmath.mpf(1) / 5)),
+            (4 * one // 239, 239**2, 4 * one * mpmath.atan(mpmath.mpf(1) / 239)),
+            (2 * one, 15, 2 * one * root * mpmath.atan(1 / root)),
+        ]
+        for power, q, value in series:
+            assert abs(packing._atan_series(power, q) - value) < bits / 3 + 3, q
+
+
 def test_far_cap_measure_is_exact():
     measure = far_cap_measure(3)
     assert isinstance(measure, Fraction)
@@ -514,8 +536,8 @@ def test_far_cap_measure_is_exact():
         assert float(far_cap_measure(n)) == pytest.approx(cap_fraction(n, alpha), rel=1e-12)
     with pytest.raises(ValueError):
         far_cap_measure(4)
-    # the integer sums equal the antiderivatives summed as fractions
-    for n in range(3, 130, 2):
+    # the recurrence equals the antiderivatives summed as fractions
+    for n in (*range(3, 130, 2), 511, 1999):
         k = (n - 3) // 2
 
         def antiderivative(u):
@@ -544,7 +566,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_far_bound_monotone():
-    vals = [far_bound(n) for n in range(1, 30)]
+    # every rank bound --n reports
+    vals = [far_bound(n) for n in range(1, 566)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -568,8 +591,9 @@ def test_envelope_constants():
 
 def test_envelope_constants_hold_exactly():
     # the doubles themselves, read as exact rationals, bound every total
+    # at every rank bound --n reports (566 exits 3)
     u, v = fit_constants()
-    for n in range(1, FIT_HORIZON + 1):
+    for n in range(1, 566):
         assert Fraction(u) * Fraction(v) ** (n + 1) >= total_bound(n).total, n
 
 
