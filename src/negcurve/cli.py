@@ -230,7 +230,8 @@ def cmd_bound(args):
                 f"--n {args.n} disagrees with the document, whose rank gives n = {n}"
             )
         inputs.update(_document_inputs(family))
-        outputs.setdefault("bound", total_bound(n).to_json_dict())
+        if "bound" not in outputs:
+            outputs["bound"] = total_bound(n).to_json_dict()
         validation = validate_family(family)
         if not validation.overall:
             return inputs, _refusal(validation), None, InvalidFamilyError.exit_code

@@ -416,14 +416,17 @@ def _coordinate_sum(cols: np.ndarray) -> np.ndarray:
     return total
 
 
-def _h_norms(cols: np.ndarray) -> np.ndarray:
-    """H-norms x_0^2 - (x_1^2 + ... + x_n^2) of the columns of an
-    (n + 1, samples) array."""
+def _h_norms(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squares of the columns of an (n + 1, samples) array, their
+    spatial sums x_1^2 + ... + x_n^2 and their H-norms x_0^2 - (x_1^2 +
+    ... + x_n^2).  A column's values do not depend on the layout of
+    ``cols`` or on the other columns."""
     # x * x rounds as ** 2 does; the product keeps the layout of
     # ``cols``, so a drawn chunk's transpose is squared in one pass over
     # its C-ordered rows
     squares = cols * cols
-    return squares[0] - _coordinate_sum(squares[1:])
+    spatial = _coordinate_sum(squares[1:])
+    return squares, spatial, squares[0] - spatial
 
 
 def _take_columns(cols: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -438,18 +441,19 @@ def _take_columns(cols: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.nda
 
 def _sample_spacelike(
     rng: np.random.Generator, count: int, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Gaussian vectors in R^{n+1} conditioned on a negative H-norm.
 
     Yields ``count`` vectors in sample order, in drawn (n + 1, rows)
     column chunks of at most ``_PROBE_BLOCK`` rows, each with the indices
-    of the columns it keeps and their H-norms; ``np.take(cols, keep,
-    axis=1)`` gives the vectors.  Each round draws max(count - filled, 64)
-    rows and keeps the first negative ones it needs.  A round is drawn
-    ``_PROBE_BLOCK`` rows at a time, which reads the same stream as one
-    draw, since numpy's Generator fills an array element by element; the
-    rows left after the last kept one are drawn all the same, so the
-    stream after the generator is done does not depend on the block.
+    of the columns it keeps; ``np.take(cols, keep, axis=1)`` gives the
+    vectors, and :func:`_h_norms` of them the norms the filter read.
+    Each round draws max(count - filled, 64) rows and keeps the first
+    negative ones it needs.  A round is drawn ``_PROBE_BLOCK`` rows at a
+    time, which reads the same stream as one draw, since numpy's
+    Generator fills an array element by element; the rows left after the
+    last kept one are drawn all the same, so the stream after the
+    generator is done does not depend on the block.
     The chunks are those of ``rng.normal``: it returns 0.0 + 1.0 * x for
     the standard normal x, which is x with -0.0 turned into +0.0, and
     adding 0.0 in place does just that, for less than the scaled draw.
@@ -463,11 +467,11 @@ def _sample_spacelike(
             if filled == count:
                 continue
             chunk += 0.0
-            q = _h_norms(chunk.T)
+            q = _h_norms(chunk.T)[2]
             keep = np.flatnonzero(q < 0)[: count - filled]
             if len(keep):
                 filled += len(keep)
-                yield chunk.T, keep, q[keep]
+                yield chunk.T, keep
 
 
 def _one_ahead(worker, items: Iterator) -> Iterator:
@@ -480,16 +484,17 @@ def _one_ahead(worker, items: Iterator) -> Iterator:
         yield item
 
 
-def _probe_block(a, b, n1, n2):
+def _probe_block(a, b):
     """Both condition systems on one block of sample pairs.
 
-    ``a`` and ``b`` are (n + 1, rows) column blocks and ``n1``, ``n2``
-    their H-norms.  Returns the per-row quantities that the examples and
-    :func:`_probe_margins` read and, per condition pair, the lattice and
-    the model verdict.
+    ``a`` and ``b`` are (n + 1, rows) column blocks.  Their squares give
+    the Euclidean norms, and :func:`_h_norms` the spatial sums and the
+    H-norms, the same bits as the sampler's filter read.  Returns the
+    per-row quantities that the examples and :func:`_probe_margins` read
+    and, per condition pair, the lattice and the model verdict.
     """
-    # the squares serve both the Euclidean and the spatial norms
-    sq1, sq2 = a * a, b * b
+    sq1, spatial1, n1 = _h_norms(a)
+    sq2, spatial2, n2 = _h_norms(b)
     e1 = _coordinate_sum(sq1)
     e2 = _coordinate_sum(sq2)
     cross = _coordinate_sum(a[1:] * b[1:])
@@ -504,8 +509,7 @@ def _probe_block(a, b, n1, n2):
     verdict_III = sup_pos <= 0
 
     # model level: normalize onto the cylinder
-    s1 = np.sqrt(_coordinate_sum(sq1[1:]))
-    s2 = np.sqrt(_coordinate_sum(sq2[1:]))
+    s1, s2 = np.sqrt(spatial1), np.sqrt(spatial2)
     c1 = np.clip(a[0] / s1, -1.0, 1.0)
     c2 = np.clip(b[0] / s2, -1.0, 1.0)
     cd = np.clip(cross / (s1 * s2), -1.0, 1.0)
@@ -559,11 +563,12 @@ def equivalence_probe(
     projected points.  Both sides use scale-invariant margins so the
     boundary band is meaningful across samples; they are computed only
     for the pairs whose verdicts differ, the only ones the report counts
-    or lists.  Only the first sample set is held, as one (n + 1, samples)
-    array, and each block's H-norms are computed again from it; the
+    or lists; the (III)/(iii) directional counts split those pairs.
+    Only the first sample set is held, as one (n + 1, samples) array; the
     second set is drawn after it in chunks of at most ``_PROBE_BLOCK``
     rows, and each chunk is evaluated against the first set's matching
-    rows as soon as it is drawn.  The report does not depend on the
+    rows as soon as it is drawn; the evaluation takes both sets' H-norms
+    from the squares it forms anyway.  The report does not depend on the
     block size.
 
     A one-worker thread pool draws both sets, and filters out the
@@ -603,19 +608,18 @@ def equivalence_probe(
         chunks = _one_ahead(worker, draws)
         # the first set's chunks fill the held set, and the rest are the second's
         lo = 0
-        for cols, keep, _ in chunks:
+        for cols, keep in chunks:
             rows = slice(lo, lo + len(keep))
             _take_columns(cols, keep, v1[:, rows])
             lo = rows.stop
             if lo == samples:
                 break
         lo = 0
-        for cols, keep, q2 in chunks:
+        for cols, keep in chunks:
             rows = slice(lo, lo + len(keep))
             lo = rows.stop
-            a = v1[:, rows]
             v2 = _take_columns(cols, keep, np.empty((n + 1, len(keep))))
-            values, verdicts = _probe_block(a, v2, _h_norms(a), q2)
+            values, verdicts = _probe_block(v1[:, rows], v2)
             for name, (va, vb) in verdicts.items():
                 cand = np.flatnonzero(va != vb)
                 ma, mb = _probe_margins(values, name, cand)
@@ -624,6 +628,10 @@ def equivalence_probe(
                 disagreements[name] += len(idx)
                 boundary[name] += int(np.count_nonzero(near))
                 if name == "III/iii":
+                    # every differing verdict, boundary or not
+                    lattice_only = int(np.count_nonzero(va[cand]))
+                    III_without_iii += lattice_only
+                    iii_without_III += len(cand) - lattice_only
                     big_cap += int(np.count_nonzero(
                         (values["theta1"][idx] + values["theta2"][idx]) > math.pi
                     ))
@@ -640,9 +648,6 @@ def equivalence_probe(
                             "pairing": float(values["h"][k]),
                         }
                     )
-            verdict_III, verdict_iii = verdicts["III/iii"]
-            iii_without_III += int(np.count_nonzero(verdict_iii & ~verdict_III))
-            III_without_iii += int(np.count_nonzero(verdict_III & ~verdict_iii))
 
     # examples in the order I/i, II/ii, III/iii, each by ascending index
     examples = [ex for exs in found.values() for ex in exs][:PROBE_EXAMPLES]

@@ -51,9 +51,6 @@ class KleinPoint:
     def spatial(self) -> tuple[float, ...]:
         return self.coords[1:]
 
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
 
 @dataclass(frozen=True)
 class CapRep:
@@ -78,9 +75,6 @@ class CapRep:
     def n(self) -> int:
         return len(self.z)
 
-    def z_array(self) -> np.ndarray:
-        return np.array(self.z, dtype=float)
-
 
 @dataclass(frozen=True)
 class OrthDisc:
@@ -96,21 +90,6 @@ class OrthDisc:
     euclid_radius: float
     foot: tuple[float, ...]
     theta: float
-
-    def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Random points of the open disc, as rows in R^{n+1} (x0 = 1)."""
-        z = np.array(self.foot[1:], dtype=float)
-        n = len(z)
-        if n < 2:
-            # S^0 case: the disc degenerates to its center
-            return np.tile(np.array(self.center), (count, 1))
-        # orthonormal basis of the hyperplane z-perp in R^n
-        basis = np.linalg.svd(z.reshape(1, n))[2][1:]
-        radii = self.euclid_radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-        dirs = rng.normal(size=(count, n - 1))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        spatial = math.cos(self.theta) * z + (radii[:, None] * dirs) @ basis
-        return np.column_stack([np.ones(count), spatial])
 
 
 def project(v) -> KleinPoint:
@@ -177,7 +156,7 @@ def orth_disc(point: KleinPoint) -> OrthDisc:
     """
     rep = cap_of(point)  # validates the region
     cos_t = math.cos(rep.theta)
-    z = rep.z_array()
+    z = np.array(rep.z)
     return OrthDisc(
         center=(1.0, *(cos_t * z)),
         euclid_radius=math.sin(rep.theta),

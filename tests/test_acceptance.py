@@ -169,8 +169,8 @@ def test_criterion_2_round_trips():
         c = project(np.concatenate([[x0], z]) * RNG.uniform(0.5, 2.0))
 
         rep = cap_of(c)
-        back = point_of(rep).array()
-        worst_rt = max(worst_rt, float(np.max(np.abs(back - c.array()))))
+        back = np.array(point_of(rep).coords)
+        worst_rt = max(worst_rt, float(np.max(np.abs(back - np.array(c.coords)))))
 
         rep2 = cap_of(point_of(rep))
         worst_rt = max(
@@ -186,7 +186,7 @@ def test_criterion_2_round_trips():
         worst_id = max(
             worst_id,
             abs(float(np.linalg.norm(y - zb)) - expected),
-            abs(float(np.linalg.norm(c.array() - zb)) - expected),
+            abs(float(np.linalg.norm(np.array(c.coords) - zb)) - expected),
         )
     ok = worst_rt < 1e-12 and worst_id < 1e-12
     announce(2, ok, f"round-trip error {worst_rt:.2e}, identity error {worst_id:.2e}")

@@ -181,6 +181,27 @@ def test_bound_pipeline_on_family(tmp_path, capsys):
     assert len(pipeline["near"]) == 3
 
 
+def test_bound_n_and_file_builds_the_bound_once(tmp_path, capsys, monkeypatch):
+    # --n fills the bound, and the document's rank agrees with it
+    from negcurve import packing
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return total_bound(n)
+
+    monkeypatch.setattr(packing, "total_bound", counting)
+    path = write_doc(tmp_path, BL3_DOC)
+    code = main(["bound", "--n", "3", "--file", path])
+    out = capsys.readouterr().out
+    assert code == 0 and calls == [3]
+    # sha256 of the report as recorded when the bound was built twice
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f638316d1fc2eda9a594812d70e97be18add96fec4323de604ce279bcf3e5328"
+    )
+
+
 def test_bound_requires_argument():
     assert main(["bound"]) == 2
 

@@ -863,6 +863,18 @@ def test_probe_documents_big_cap_divergence():
     assert report.iii_without_III >= report.disagreements["III/iii"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_probe_directional_counts_split_the_iii_disagreements(n, seed):
+    # every pair whose (III) and (iii) verdicts differ, boundary or not,
+    # counts in exactly one direction
+    report = equivalence_probe(n, 20_000, seed=seed)
+    assert (
+        report.iii_without_III + report.III_without_iii
+        == report.disagreements["III/iii"] + report.boundary_disagreements["III/iii"]
+    )
+
+
 def test_probe_agrees_in_small_cap_regime():
     # restricted to theta1 + theta2 <= pi the two systems agree exactly;
     # verified pointwise with an independent construction
@@ -873,7 +885,7 @@ def test_probe_agrees_in_small_cap_regime():
         c2 = point_of(
             CapRep(z=(math.cos(gap), math.sin(gap)), theta=float(t2))
         )
-        v1, v2 = c1.array(), c2.array()
+        v1, v2 = np.array(c1.coords), np.array(c2.coords)
         n1 = v1[0] ** 2 - v1[1] ** 2 - v1[2] ** 2
         n2 = v2[0] ** 2 - v2[1] ** 2 - v2[2] ** 2
         h = v1[0] * v2[0] - v1[1] * v2[1] - v1[2] * v2[2]
@@ -997,10 +1009,14 @@ def test_probe_report_independent_of_block(monkeypatch, block, n, samples, seed,
 
 def kept_vectors(chunks):
     """The vectors that :func:`conditions._sample_spacelike` keeps, as one
-    (n + 1, count) column array, and their H-norms."""
-    chunks = list(chunks)
-    vectors = np.concatenate([np.take(cols, keep, axis=1) for cols, keep, _ in chunks], axis=1)
-    return vectors, np.concatenate([q for _, _, q in chunks])
+    (n + 1, count) column array."""
+    return np.concatenate([np.take(cols, keep, axis=1) for cols, keep in chunks], axis=1)
+
+
+def h_norm_bits(cols):
+    """The H-norms of the columns of ``cols`` as :func:`conditions._h_norms`
+    computes them, viewed as integers for a bitwise comparison."""
+    return conditions._h_norms(cols)[2].view(np.int64)
 
 
 def round_trip_ii(values):
@@ -1016,19 +1032,21 @@ def test_probe_ii_from_cosines_matches_round_trip(n, seed):
     # values differ by far less than the guard band
     samples = 100_000
     rng = np.random.default_rng(seed)
-    v1, q1 = kept_vectors(conditions._sample_spacelike(rng, samples, n))
+    v1 = kept_vectors(conditions._sample_spacelike(rng, samples, n))
+    q1 = h_norm_bits(v1)
     worst = 0.0
     lo = 0
-    for cols, keep, q2 in conditions._sample_spacelike(rng, samples, n):
-        rows = slice(lo, lo + len(q2))
+    for cols, keep in conditions._sample_spacelike(rng, samples, n):
+        rows = slice(lo, lo + len(keep))
         lo = rows.stop
         v2 = np.take(cols, keep, axis=1)
-        # the probe computes the held set's norms again, to the same bits
-        n1 = conditions._h_norms(v1[:, rows])
-        assert np.array_equal(n1.view(np.int64), q1[rows].view(np.int64))
-        values, verdicts = conditions._probe_block(v1[:, rows], v2, n1, q2)
+        values, verdicts = conditions._probe_block(v1[:, rows], v2)
+        # a block's norms are the bits of the whole held set's and of the
+        # gathered second set's
+        assert np.array_equal(values["n1"].view(np.int64), q1[rows])
+        assert np.array_equal(values["n2"].view(np.int64), h_norm_bits(v2))
         _, verdict = verdicts["II/ii"]
-        every = np.arange(len(q2))
+        every = np.arange(len(keep))
         m_II, m_ii = conditions._probe_margins(values, "II/ii", every)
         old = round_trip_ii(values)
         assert np.array_equal(verdict, old <= conditions.TOL_BOUNDARY)
@@ -1076,12 +1094,13 @@ def test_chunked_sampler_reads_the_whole_round_stream(monkeypatch, n, count, blo
     rng = np.random.default_rng(seed)
     chunks = list(conditions._sample_spacelike(rng, count, n))
     assert all(
-        0 < len(keep) == len(q) <= cols.shape[1] <= block and len(cols) == n + 1
-        for cols, keep, q in chunks
+        0 < len(keep) <= cols.shape[1] <= block and len(cols) == n + 1
+        for cols, keep in chunks
     )
-    v, q = kept_vectors(chunks)
+    v = kept_vectors(chunks)
     assert np.array_equal(v.view(np.int64), expected_v.view(np.int64))
-    assert np.array_equal(q.view(np.int64), expected_q.view(np.int64))
+    # the norms the probe takes of the kept vectors are the filter's bits
+    assert np.array_equal(h_norm_bits(v), expected_q.view(np.int64))
     assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
@@ -1114,7 +1133,7 @@ def test_sampler_draws_the_normal_stream(n, seed):
     rng = np.random.default_rng(seed)
     chunks = list(conditions._sample_spacelike(rng, count, n))
     assert len(chunks) == len(expected) > 2
-    for (cols, keep, _), (want, want_keep) in zip(chunks, expected):
+    for (cols, keep), (want, want_keep) in zip(chunks, expected):
         assert np.array_equal(cols.T.view(np.int64), want.view(np.int64))
         assert np.array_equal(keep, want_keep)
     assert rng.bit_generator.state == expected_rng.bit_generator.state
@@ -1129,7 +1148,7 @@ def test_sampler_turns_negative_zero_positive():
             out[::2, 1] = -0.0
             return out
 
-    ((cols, keep, _),) = conditions._sample_spacelike(NegativeZeros(), 100, 2)
+    ((cols, keep),) = conditions._sample_spacelike(NegativeZeros(), 100, 2)
     assert np.array_equal(keep, np.arange(100))
     zeros = cols == 0.0
     assert np.count_nonzero(zeros) == 100 + 50

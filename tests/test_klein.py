@@ -49,8 +49,8 @@ def test_project_section_property():
     for _ in range(500):
         v = RNG.normal(size=int(RNG.integers(3, 6)))
         lam = float(RNG.uniform(1e-3, 1e3))
-        p1 = project(v).array()
-        p2 = project(lam * v).array()
+        p1 = np.array(project(v).coords)
+        p2 = np.array(project(lam * v).coords)
         assert np.max(np.abs(p1 - p2)) < 1e-12
         # the projected point is a positive multiple of v
         ratios = p1 / v
@@ -70,9 +70,9 @@ def test_project_idempotent():
     for _ in range(200):
         v = RNG.normal(size=4)
         p = project(v)
-        again = project(p.array())
+        again = project(np.array(p.coords))
         assert p.region is again.region
-        assert np.max(np.abs(p.array() - again.array())) < 1e-12
+        assert np.max(np.abs(np.array(p.coords) - np.array(again.coords))) < 1e-12
 
 
 def test_cap_of_examples():
@@ -133,7 +133,7 @@ def test_cap_point_round_trip():
 
         c = random_cylinder_point(RNG, n=n)
         again = point_of(cap_of(c))
-        assert np.max(np.abs(again.array() - c.array())) < 1e-12
+        assert np.max(np.abs(np.array(again.coords) - np.array(c.coords))) < 1e-12
 
 
 def test_orth_disc_example():
@@ -153,15 +153,23 @@ def test_orth_disc_center_at_theta_right_angle():
 
 
 def test_orth_disc_points_are_orthogonal():
+    # the center y and the rim points y +- r t, for an orthonormal basis t
+    # of the foot's complement, span the disc's plane, on which the
+    # H-product with c is affine: orthogonality there holds on the disc
     for _ in range(50):
         n = int(RNG.integers(2, 5))
         c = random_cylinder_point(RNG, n=n)
         disc = orth_disc(c)
-        pts = disc.sample_points(RNG, 100)
-        for p in pts:
-            assert abs(inner(c.array(), p)) < 1e-9
-            # inside the x0 = 1 disc
-            assert np.linalg.norm(p[1:]) < 1.0 + 1e-12
+        y = np.array(disc.center)
+        z = np.array(disc.foot[1:])
+        assert abs(inner(np.array(c.coords), y)) < 1e-12
+        assert np.linalg.norm(y[1:]) < 1.0
+        for t in np.linalg.svd(z.reshape(1, n))[2][1:]:
+            for sign in (1.0, -1.0):
+                p = y + sign * disc.euclid_radius * np.concatenate([[0.0], t])
+                assert abs(inner(np.array(c.coords), p)) < 1e-12
+                # on the rim of the x0 = 1 disc
+                assert abs(np.linalg.norm(p[1:]) - 1.0) < 1e-12
 
 
 def test_construction_identity():
@@ -174,7 +182,7 @@ def test_construction_identity():
         z = np.array(disc.foot)
         expected = 1.0 - math.cos(rep.theta)
         assert abs(np.linalg.norm(y - z) - expected) < 1e-12
-        assert abs(np.linalg.norm(c.array() - z) - expected) < 1e-12
+        assert abs(np.linalg.norm(np.array(c.coords) - z) - expected) < 1e-12
 
 
 def test_rotation_equivariance():
