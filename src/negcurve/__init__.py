@@ -13,6 +13,10 @@ _EXPORTS = {
         "CurveFamily", "ModelFamily", "ValidationReport", "equivalence_probe",
         "pair_margins", "validate_family",
     ),
+    "counting": (
+        "BoundReport", "far_bound", "far_cap_measure", "far_cone_angle",
+        "near_bound", "near_bound_volume", "total_bound",
+    ),
     "errors": (
         "DegenerateCapPairError", "InputError", "InvalidFamilyError",
         "NegCurveError", "NumericalError", "SignatureError",
@@ -26,9 +30,8 @@ _EXPORTS = {
         "sign_class", "signature", "standardize",
     ),
     "packing": (
-        "Ball", "BallSystem", "BoundReport", "far_bound", "far_cap_measure",
-        "far_cone_angle", "hemisphere_filter", "near_bound",
-        "near_bound_volume", "reduce_ii_star", "split_system", "total_bound",
+        "Ball", "BallSystem", "hemisphere_filter", "reduce_ii_star",
+        "split_system",
     ),
     "search": (
         "Certificate", "Configuration", "SearchParams", "SearchResult",

@@ -28,26 +28,17 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .conditions import (
-    CurveFamily,
-    ModelFamily,
-    cap_arrays,
-    equivalence_probe,
-    pair_margins,
-    validate_family,
-)
 from .errors import (
     InputError,
     InvalidFamilyError,
     NegCurveError,
     NumericalError,
 )
-from .klein import Region, _project, cap_of
-from .lorentz import QuadraticLattice, embed_class
 
-# the commands that run packing and search import them, so a cold
-# validate, embed or probe loads neither of them, and only search loads
-# mpmath
+# each command imports the modules it runs: a cold `bound --n` loads
+# counting and no numpy, the array layers (conditions, klein, lorentz)
+# load only where a family document is read or the probe runs, and only
+# search loads mpmath
 
 SCHEMA = "negcurve/run-report/v1"
 
@@ -68,7 +59,12 @@ def _int_matrix(raw, what: str) -> list[list[int]]:
     return raw
 
 
-def load_document(path: str | Path) -> CurveFamily:
+def load_document(path: str | Path):
+    """The :class:`~negcurve.conditions.CurveFamily` a JSON document
+    describes; :class:`InputError` for a document that is not one."""
+    from .conditions import CurveFamily
+    from .lorentz import QuadraticLattice
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -96,7 +92,7 @@ def load_document(path: str | Path) -> CurveFamily:
         raise InputError(f"curves rejected: {exc}") from exc
 
 
-def _document_inputs(fam: CurveFamily) -> dict:
+def _document_inputs(fam) -> dict:
     """The ``inputs`` a report digests for a family document."""
     return {
         "gram": [list(r) for r in fam.lattice.gram],
@@ -148,6 +144,8 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
+    from .conditions import validate_family
+
     fam = load_document(args.file)
     report = validate_family(fam)
     code = 0 if report.overall else InvalidFamilyError.exit_code
@@ -160,7 +158,10 @@ def _refusal(validation, hint: str = "") -> dict:
             "validation": validation.to_json_dict()}
 
 
-def _embed_records(fam: CurveFamily):
+def _embed_records(fam):
+    from .klein import Region, _project, cap_of
+    from .lorentz import embed_class
+
     records = []
     caps = []
     for idx, cls in enumerate(fam.classes):
@@ -186,6 +187,8 @@ def _embed_records(fam: CurveFamily):
 
 
 def cmd_embed(args):
+    from .conditions import validate_family
+
     fam = load_document(args.file)
     validation = validate_family(fam)
     if not validation.overall and not args.force:
@@ -213,7 +216,7 @@ def cmd_embed(args):
 
 
 def cmd_bound(args):
-    from .packing import hemisphere_filter, split_system, total_bound
+    from .counting import total_bound
 
     if args.file is None and args.n is None:
         raise InputError("bound needs --n or --file")
@@ -223,6 +226,9 @@ def cmd_bound(args):
         outputs["bound"] = total_bound(args.n).to_json_dict()
         inputs["n"] = args.n
     if args.file is not None:
+        from .conditions import ModelFamily, cap_arrays, pair_margins, validate_family
+        from .packing import hemisphere_filter, split_system
+
         family = load_document(args.file)
         n = family.lattice.rank - 1
         if args.n is not None and args.n != n:
@@ -264,6 +270,8 @@ def cmd_search(args):
 
 
 def cmd_probe(args):
+    from .conditions import equivalence_probe
+
     report = equivalence_probe(**_given(args, "n", "samples", "seed"))
     inputs = {"n": report.n, "samples": report.samples, "seed": report.seed}
     return inputs, report.to_json_dict(), report.seed, 0

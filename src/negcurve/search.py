@@ -34,9 +34,9 @@ from .conditions import (
     cap_arrays,
     coincident_feet,
 )
+from .counting import total_bound
 from .errors import InputError, NumericalError
 from .klein import CapRep
-from .packing import total_bound
 
 # mpmath costs a cold process ~30 ms, so only certify imports it
 

@@ -24,14 +24,10 @@ from negcurve.conditions import (
     equivalence_probe,
     validate_family,
 )
+from negcurve.counting import far_cone_angle, near_bound, total_bound
 from negcurve.klein import CapRep, cap_of, point_of
 from negcurve.lorentz import QuadraticLattice, signature
-from negcurve.packing import (
-    cone_separation_infimum,
-    far_cone_angle,
-    near_bound,
-    total_bound,
-)
+from negcurve.packing import cone_separation_infimum
 from negcurve.search import SearchParams, compatible, exact_max, greedy_max
 
 RNG = np.random.default_rng(20240831)

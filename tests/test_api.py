@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import pytest
 
 from conftest import modules_loaded_by
 import negcurve
+from negcurve.counting import fit_constants
 from negcurve.klein import figure_streams
-from negcurve.packing import cone_separation_infimum, fit_constants
+from negcurve.packing import cone_separation_infimum
 
 #: the public defaulted parameters: seeds, search and probe sizes and
 #: plain bookkeeping; guard bands, precisions and the probe's example
@@ -69,10 +71,14 @@ def test_public_names_resolve_lazily_to_their_submodules():
     # a fresh process reaches the submodules through the package alone
     loaded = modules_loaded_by(
         "import negcurve\n"
-        "negcurve.packing.total_bound\n"
+        "negcurve.packing.split_system\n"
         "from negcurve import lorentz, search\n"
     )
     assert {"negcurve.packing", "negcurve.lorentz", "negcurve.search"} <= loaded
+    # the counting bound's names resolve to the stdlib-only counting
+    # module, so they load no numpy
+    loaded = modules_loaded_by("from negcurve import total_bound, far_bound")
+    assert loaded == {"negcurve.counting", "negcurve.errors"}
 
 
 def defaulted(name, fn):
@@ -180,6 +186,12 @@ def test_bench_imports_exist():
     sources = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert any(_bench_imports(ast.parse(source)) for source in sources)
     assert _bench_missing_names(sources) == []
+    # bench/ops.py clears the counting caches through packing, so these
+    # must be the very caches a cold bound fills
+    from negcurve import counting, packing
+
+    assert packing.far_bound is counting.far_bound
+    assert packing.fit_constants is counting.fit_constants
     # the check sees a renamed attribute anywhere in a chain of reads from
     # an imported submodule or function, and reads of a local name that
     # shadows a submodule elsewhere are not taken for the submodule
@@ -301,18 +313,39 @@ def _eager(source: str, modules, nodes=_own_nodes) -> list[str]:
     )
 
 
+def _beyond_stdlib(source: str, allowed) -> list[str]:
+    """The names ``source`` imports anywhere that are neither in the
+    standard library nor in one of the ``allowed`` package modules."""
+    return sorted(
+        name for name in _top_level_imports(source, ast.walk)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+        and not any(name == m or name.startswith(m + ".") for m in allowed)
+    )
+
+
+#: what cli imports only in the commands that run it: a cold bound --n
+#: needs none of it
+CLI_DEFERRED = [
+    "numpy", "negcurve.conditions", "negcurve.klein", "negcurve.lorentz",
+    "negcurve.packing", "negcurve.search",
+]
+
+
 def test_cold_path_imports_stay_inside_functions():
     # mpmath costs a cold process ~30 ms and serves only certify, and
-    # concurrent.futures serves only the probe; cli imports packing and
-    # search in the commands that run them
+    # concurrent.futures serves only the probe; cli imports the array
+    # layers, packing and search in the commands that run them
     found = {path.name: _eager(path.read_text(), ["mpmath", "concurrent"])
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
-    # far_bound is integer arithmetic: packing imports no mpmath at all
+    # packing imports no mpmath at all
     packing = (PACKAGE / "packing.py").read_text()
     assert _eager(packing, ["mpmath"], ast.walk) == []
+    # the counting bound imports the stdlib and errors alone
+    counting = (PACKAGE / "counting.py").read_text()
+    assert _beyond_stdlib(counting, ["negcurve.errors"]) == []
     cli = (PACKAGE / "cli.py").read_text()
-    assert _eager(cli, ["negcurve.packing", "negcurve.search"]) == []
+    assert _eager(cli, CLI_DEFERRED) == []
     # the guard sees imports under a top-level if or try, relative and
     # absolute, and not those inside a function
     probe = (
@@ -333,3 +366,46 @@ def test_cold_path_imports_stay_inside_functions():
         "negcurve.packing", "negcurve.search", "negcurve.search.certify",
     ]
     assert _eager(probe, ["mpmath"], ast.walk) == ["mpmath", "mpmath.libmp"]
+    # each deferred module is seen at top level, in any import form
+    probe = (
+        "import numpy as np\n"
+        "from .conditions import validate_family\n"
+        "if True:\n"
+        "    from negcurve.klein import cap_of\n"
+        "try:\n"
+        "    from . import lorentz\n"
+        "except ImportError:\n"
+        "    import negcurve.packing\n"
+        "with open(__file__):\n"
+        "    from .search import greedy_max\n"
+        "from .counting import total_bound\n"
+        "from .errors import InputError\n"
+        "def f():\n"
+        "    import numpy\n"
+    )
+    assert _eager(probe, CLI_DEFERRED) == [
+        "negcurve.conditions", "negcurve.conditions.validate_family",
+        "negcurve.klein", "negcurve.klein.cap_of", "negcurve.lorentz",
+        "negcurve.packing", "negcurve.search", "negcurve.search.greedy_max",
+        "numpy",
+    ]
+    # and the stdlib guard sees every other import, in a function too
+    probe = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from fractions import Fraction\n"
+        "from .errors import InputError, NumericalError\n"
+        "import numpy as np\n"
+        "from .conditions import TOL_BOUNDARY\n"
+        "def f():\n"
+        "    import mpmath\n"
+        "    from negcurve.klein import CapRep\n"
+        "    from .lorentz import inner\n"
+        "    from .packing import split_system\n"
+    )
+    assert _beyond_stdlib(probe, ["negcurve.errors"]) == [
+        "mpmath", "negcurve.conditions", "negcurve.conditions.TOL_BOUNDARY",
+        "negcurve.klein", "negcurve.klein.CapRep", "negcurve.lorentz",
+        "negcurve.lorentz.inner", "negcurve.packing",
+        "negcurve.packing.split_system", "numpy",
+    ]

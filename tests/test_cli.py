@@ -183,15 +183,16 @@ def test_bound_pipeline_on_family(tmp_path, capsys):
 
 def test_bound_n_and_file_builds_the_bound_once(tmp_path, capsys, monkeypatch):
     # --n fills the bound, and the document's rank agrees with it
-    from negcurve import packing
+    from negcurve import counting
 
     calls = []
 
-    def counting(n):
+    def counted(n):
         calls.append(n)
         return total_bound(n)
 
-    monkeypatch.setattr(packing, "total_bound", counting)
+    # cmd_bound reads total_bound from counting when it runs
+    monkeypatch.setattr(counting, "total_bound", counted)
     path = write_doc(tmp_path, BL3_DOC)
     code = main(["bound", "--n", "3", "--file", path])
     out = capsys.readouterr().out
@@ -200,6 +201,26 @@ def test_bound_n_and_file_builds_the_bound_once(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f638316d1fc2eda9a594812d70e97be18add96fec4323de604ce279bcf3e5328"
     )
+
+
+# sha256 of the in-process `bound --n k` stdout, recorded while the
+# counting bound still lived in packing, before it moved to counting
+BOUND_N_SHA256 = {
+    1: "3e9f09d699fefdeb952e2eadb30f8aa9ab70f240dd964aa9a4c8b3b35189b885",
+    2: "dd9ec14e7eeb18f1857b1d9f162995256863bd5e5922ac41ed4b40af5d751e8e",
+    3: "f0bd68e91a1a3dd0eedb09c871d8bd4736a5b01ac2e22d7d2566506fcc92d3d1",
+    4: "291c17b4b375a093fe10d49d155c74c53c1e4b7f25fcbbbdd5f0e8df5ce43841",
+    7: "c7f85586afd2c698decec73d2124994b6078a2ec3d1c2ffb1becb59e2e8b3476",
+    64: "a44ae0ba0df1fa7fd1ffb31aa6ea30a5431fb45b952c5711efe92ab248fe46d5",
+    565: "e7e886663d122d77463397903a95c7900c36a174778d7d391322954770c960fc",
+}
+
+
+@pytest.mark.parametrize("k", sorted(BOUND_N_SHA256))
+def test_bound_n_report_bytes_are_pinned(k, capsys):
+    assert main(["bound", "--n", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_N_SHA256[k]
 
 
 def test_bound_requires_argument():
@@ -299,19 +320,28 @@ def test_cold_commands_import_only_what_they_run(tmp_path):
         f"main(['embed', {path!r}])\n"
     )
     assert {"negcurve.cli", "negcurve.conditions", "numpy"} <= loaded
-    assert loaded.isdisjoint(
-        {"mpmath", "negcurve.packing", "negcurve.search", "concurrent.futures"}
-    )
+    assert loaded.isdisjoint({
+        "mpmath", "negcurve.counting", "negcurve.packing", "negcurve.search",
+        "concurrent.futures",
+    })
     # the probe adds only the thread pool that draws its samples
     probe = modules_loaded_by(
         "from negcurve.cli import main\nmain(['probe', '--n', '2', '--samples', '500'])"
     )
     assert probe - loaded == {"concurrent.futures"}
-    # bound adds only packing: the envelope fit's far_bound is integer
-    # arithmetic at every rank
-    for args in (["--n", "3"], ["--n", "4"], ["--file", path]):
-        bound = modules_loaded_by(f"from negcurve.cli import main\nmain(['bound', *{args!r}])")
-        assert bound - loaded == {"negcurve.packing"}, args
+    # search reads its size limit from counting, and certify loads mpmath
+    search = modules_loaded_by(
+        "from negcurve.cli import main\nmain(['search', '--n', '2', '--restarts', '1'])"
+    )
+    assert search - loaded == {"negcurve.counting", "negcurve.search", "mpmath"}
+    # the counting bound is integer arithmetic at every rank: bound --n
+    # loads no numpy and none of the array layers
+    for n in ("3", "4"):
+        bound = modules_loaded_by(f"from negcurve.cli import main\nmain(['bound', '--n', {n!r}])")
+        assert bound == {"negcurve.cli", "negcurve.counting", "negcurve.errors"}, n
+    # the pipeline of bound --file adds packing, which imports counting
+    bound = modules_loaded_by(f"from negcurve.cli import main\nmain(['bound', '--file', {path!r}])")
+    assert bound - loaded == {"negcurve.counting", "negcurve.packing"}
 
 
 def standard_family(n):

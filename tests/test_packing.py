@@ -11,25 +11,27 @@ import numpy as np
 import pytest
 
 from conftest import ball_system_from_points, del_pezzo_lines
-from negcurve import packing
+from negcurve import counting
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, cap_arrays, pair_margins, validate_family
+from negcurve.counting import (
+    FAR_COS,
+    far_bound,
+    far_cap_measure,
+    far_cone_angle,
+    fit_constants,
+    near_bound,
+    near_bound_volume,
+    total_bound,
+)
 from negcurve.klein import CapRep, cap_of, project
 from negcurve.packing import (
-    FAR_COS,
     Ball,
     BallSystem,
     cone_separation_infimum,
-    far_bound,
-    far_cone_angle,
-    fit_constants,
     hemisphere_filter,
-    near_bound,
-    near_bound_volume,
-    far_cap_measure,
     reduce_ii_star,
     split_system,
-    total_bound,
 )
 
 RNG = np.random.default_rng(31337)
@@ -490,20 +492,20 @@ def test_far_bound_pinned_at_large_ranks(n, length, leading, sha256):
 def test_far_reciprocal_floor_reports_undecided(n):
     # 2n bits leave the enclosure of 1/sigma_n too wide to floor; the
     # starting precision of far_bound decides it, and so does twice that
-    assert packing._far_reciprocal_floor(n, 2 * n) is None
+    assert counting._far_reciprocal_floor(n, 2 * n) is None
     bits = 64 + 9 * n // 4
     for b in (bits, 2 * bits):
-        assert packing._far_reciprocal_floor(n, b) == far_bound(n) - 1
+        assert counting._far_reciprocal_floor(n, b) == far_bound(n) - 1
 
 
 def test_far_bound_doubles_an_undecided_precision(monkeypatch):
-    floor, calls = packing._far_reciprocal_floor, []
+    floor, calls = counting._far_reciprocal_floor, []
 
     def undecided_once(n, bits):
         calls.append(bits)
         return None if len(calls) == 1 else floor(n, bits)
 
-    monkeypatch.setattr(packing, "_far_reciprocal_floor", undecided_once)
+    monkeypatch.setattr(counting, "_far_reciprocal_floor", undecided_once)
     # the cache would skip the call
     assert far_bound.__wrapped__(40) == reference_far_bound(40)
     assert calls == [154, 308]
@@ -522,7 +524,7 @@ def test_atan_series_stays_within_its_error_bound(bits):
             (2 * one, 15, 2 * one * root * mpmath.atan(1 / root)),
         ]
         for power, q, value in series:
-            assert abs(packing._atan_series(power, q) - value) < bits / 3 + 3, q
+            assert abs(counting._atan_series(power, q) - value) < bits / 3 + 3, q
 
 
 def test_far_cap_measure_is_exact():

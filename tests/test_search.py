@@ -13,9 +13,9 @@ from conftest import del_pezzo_lines
 from negcurve import search
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, PairVerdict, cap_arrays
+from negcurve.counting import total_bound
 from negcurve.errors import NumericalError
 from negcurve.klein import CapRep, cap_of, project
-from negcurve.packing import total_bound
 from negcurve.search import (
     MAX_GRID_DIRECTIONS,
     SearchParams,
