@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -259,6 +258,8 @@ def _given(args, *names) -> dict:
 
 
 def cmd_search(args):
+    from dataclasses import asdict
+
     from .search import SearchParams, greedy_max
 
     params = SearchParams(**_given(args, "n", "seed", "restarts", "candidate_grid"))

@@ -24,7 +24,7 @@ cold ``bound --n`` loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -173,24 +173,18 @@ def fit_constants() -> tuple[float, float]:
     return u, v
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The explicit counting bound at rank rho = n + 1."""
+class BoundReport(namedtuple("BoundReport", (
+    "n rho near_bound far_bound hemisphere_factor total u v envelope horizon "
+    "near_bound_volume"
+))):
+    """The explicit counting bound at rank rho = n + 1: u, v and envelope
+    are floats, every other field an int.  A named tuple, since
+    ``dataclasses`` costs a cold ``bound --n`` more than the bound does."""
 
-    n: int
-    rho: int
-    near_bound: int
-    far_bound: int
-    hemisphere_factor: int
-    total: int
-    u: float
-    v: float
-    envelope: float
-    horizon: int
-    near_bound_volume: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def total_bound(n: int) -> BoundReport:

@@ -175,18 +175,11 @@ def _compatible(z1, t1, z2, t2) -> np.ndarray:
     return ~coincident_feet(z1, z2) & (m_ii >= -TOL_BOUNDARY) & (m_iii >= -TOL_BOUNDARY)
 
 
-def _adjacency(z, theta, fixed=None) -> np.ndarray:
+def _adjacency(z, theta) -> np.ndarray:
     """:func:`compatible` over all pairs of the caps (z[i], theta[i]), as a
     symmetric (k, k) boolean matrix with a false diagonal; the verdict of
-    the pair i < j decides both entries.  ``fixed``, when given, holds the
-    verdicts of the first len(fixed) caps among themselves."""
-    k0 = 0 if fixed is None else len(fixed)
-    # the upper triangle: the fixed block and the columns of the rest
-    ok = np.zeros((len(z), len(z)), dtype=bool)
-    if fixed is not None:
-        ok[:k0, :k0] = fixed
-    ok[:, k0:] = _compatible(z, theta, z[k0:], theta[k0:])
-    ok = np.triu(ok, 1)
+    the pair i < j decides both entries."""
+    ok = np.triu(_compatible(z, theta, z, theta), 1)
     return ok | ok.T
 
 
@@ -368,16 +361,17 @@ def _greedy_order(z: np.ndarray, theta: np.ndarray) -> list[int]:
     return np.lexsort((*z.T[::-1], -theta)).tolist()
 
 
-def _greedy_clique(adj: np.ndarray, order) -> list[int]:
-    """The clique that takes each vertex of ``order`` adjacent, in the
-    boolean matrix ``adj``, to every vertex taken before it."""
+def _greedy_clique(row, order) -> list[int]:
+    """The clique that takes each vertex of ``order``, a permutation of
+    the vertices, adjacent to every vertex taken before it; ``row(v)`` is
+    the boolean adjacency row of v, asked only of the vertices taken."""
     # vertices adjacent to every vertex chosen so far
-    open_ = np.ones(len(adj), dtype=bool)
+    open_ = np.ones(len(order), dtype=bool)
     chosen: list[int] = []
     for idx in order:
         if open_[idx]:
             chosen.append(idx)
-            open_ &= adj[idx]
+            open_ &= row(idx)
     return chosen
 
 
@@ -394,7 +388,8 @@ def greedy_max(params: SearchParams) -> SearchResult:
     """Best greedy clique over ``restarts`` independently seeded candidate
     draws; deterministic for a fixed seed (the reduction is max by size,
     ties broken by the larger sha256 of the clique's caps rounded to 12
-    digits).
+    digits).  Each restart computes the compatibility row of each cap it
+    takes against its candidates, and no other verdict.
 
     Raises :class:`NumericalError` if the result exceeds the counting
     bound ``total_bound(n).total``, which no valid family can, and before
@@ -402,16 +397,20 @@ def greedy_max(params: SearchParams) -> SearchResult:
     """
     limit = total_bound(params.n).total
     z0, theta0 = _stratum(params)
-    # the stratum block is the same in every restart
-    fixed = _compatible(z0, theta0, z0, theta0)
     outcomes = []
     for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
         zr, tr = _random_feet(params, np.random.default_rng(seq))
         z, theta = np.concatenate([z0, zr]), np.concatenate([theta0, tr])
-        picked = _greedy_clique(_adjacency(z, theta, fixed), _greedy_order(z, theta))
-        z, theta = z[picked], theta[picked]
-        outcomes.append((len(picked), _config_key(z, theta), z, theta))
-    size, _, z, theta = max(outcomes, key=lambda o: o[:2])
+        picked = _greedy_clique(
+            lambda v: _compatible(z[v:v + 1], theta[v:v + 1], z, theta)[0],
+            _greedy_order(z, theta),
+        )
+        outcomes.append((z[picked], theta[picked]))
+    size = max(len(o[0]) for o in outcomes)
+    # the key only breaks ties, so only the largest cliques need it
+    z, theta = max(
+        (o for o in outcomes if len(o[0]) == size), key=lambda o: _config_key(*o)
+    )
     if size > limit:
         raise NumericalError(
             f"search produced {size} caps, above the counting bound {limit}"
@@ -492,8 +491,9 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
 
     Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
     :func:`greedy_max` there).  The candidates alone decide the result;
-    ``params`` is not read.  The greedy clique in :func:`greedy_max`'s
-    order is the engine's incumbent, and comes back unless a larger clique
+    ``params`` is not read.  The whole compatibility matrix is built once;
+    the greedy clique in :func:`greedy_max`'s order, read from its rows,
+    is the engine's incumbent, and comes back unless a larger clique
     exists.
     """
     if len(candidates) > MAX_CLIQUE_CUTOFF:
@@ -503,6 +503,6 @@ def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
         )
     z, theta = cap_arrays(candidates)
     adj = _adjacency(z, theta)
-    known = _greedy_clique(adj, _greedy_order(z, theta))
+    known = _greedy_clique(adj.__getitem__, _greedy_order(z, theta))
     chosen = sorted(_max_clique_bitset(adj, known))
     return _certified_result([candidates[i] for i in chosen], "exact")

@@ -122,13 +122,15 @@ def ball_system_from_points(points, radii):
 
 
 def modules_loaded_by(code: str) -> set[str]:
-    """The package submodules, numpy, mpmath and concurrent.futures that a
-    fresh interpreter has loaded after it runs ``code``."""
+    """The package submodules, numpy, mpmath, concurrent.futures and
+    dataclasses that a fresh interpreter has loaded after it runs
+    ``code``."""
     script = (
         f"{code}\n"
         "import json, sys\n"
         "print(json.dumps([m for m in sys.modules if m.startswith('negcurve.')\n"
-        "                  or m in ('numpy', 'mpmath', 'concurrent.futures')]))\n"
+        "                  or m in ('numpy', 'mpmath', 'concurrent.futures',\n"
+        "                           'dataclasses')]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True

@@ -319,7 +319,7 @@ def test_cold_commands_import_only_what_they_run(tmp_path):
         f"main(['validate', {path!r}])\n"
         f"main(['embed', {path!r}])\n"
     )
-    assert {"negcurve.cli", "negcurve.conditions", "numpy"} <= loaded
+    assert {"negcurve.cli", "negcurve.conditions", "numpy", "dataclasses"} <= loaded
     assert loaded.isdisjoint({
         "mpmath", "negcurve.counting", "negcurve.packing", "negcurve.search",
         "concurrent.futures",
@@ -335,7 +335,7 @@ def test_cold_commands_import_only_what_they_run(tmp_path):
     )
     assert search - loaded == {"negcurve.counting", "negcurve.search", "mpmath"}
     # the counting bound is integer arithmetic at every rank: bound --n
-    # loads no numpy and none of the array layers
+    # loads no numpy, none of the array layers and no dataclasses
     for n in ("3", "4"):
         bound = modules_loaded_by(f"from negcurve.cli import main\nmain(['bound', '--n', {n!r}])")
         assert bound == {"negcurve.cli", "negcurve.counting", "negcurve.errors"}, n

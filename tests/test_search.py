@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
@@ -442,7 +443,7 @@ def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
         for idx in order:
             if all(compat[idx][j] for j in chosen):
                 chosen.append(idx)
-        assert _greedy_clique(adj, order) == chosen
+        assert _greedy_clique(adj.__getitem__, order) == chosen
     # the last list is SIGNED_ZERO_TIES
     assert order == [3, 4, 5, 0, 2, 1]
 
@@ -480,31 +481,112 @@ def test_compatible_agrees_with_the_matrix_on_a_bench_style_set():
         assert compatible(caps[i], caps[j]) == adj[i, j]
 
 
-@pytest.mark.parametrize("n, grid, count", [
-    (2, math.pi / 12, 0), (2, 0.3, 1), (3, math.pi / 12, 64), (3, 0.3, 0),
-    (3, math.pi / 10, 1), (5, math.pi / 12, 64), (8, 0.3, 240),
-])
-def test_greedy_max_assembles_the_whole_compatibility_matrix(monkeypatch, n, grid, count):
-    # each restart joins the stratum block, built once, to the random
-    # caps' columns; the result must be the matrix of the whole list, and
-    # the list the one candidate_caps draws from the restart's seed
-    seen = []
-    monkeypatch.setattr(
-        search, "_greedy_order", lambda z, theta: seen.append((z, theta)) or _greedy_order(z, theta)
-    )
+def random_feet_caps(n, count, seed):
+    """``count`` random feet at n, half the radii at pi/2 and the rest
+    uniform in (0.2, pi/2)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    theta = np.where(rng.random(count) < 0.5, HALF, rng.uniform(0.2, HALF, count))
+    return [CapRep(z=tuple(row), theta=t) for row, t in zip(z.tolist(), theta.tolist())]
 
-    def clique(adj, order):
-        assert adj.dtype == bool and np.array_equal(adj, _adjacency(*seen[-1]))
-        return _greedy_clique(adj, order)
+
+def _row_sets():
+    for n in (2, 3):
+        for grid in (math.pi / 12, math.pi / 10, math.pi / 8, 0.3):
+            params = SearchParams(n=n, candidate_grid=grid)
+            yield f"grid-{n}-{grid:.3f}", candidate_caps(params, np.random.default_rng(17))
+    rng = np.random.default_rng(0)
+    yield "bench-3", candidate_caps(
+        SearchParams(n=3, candidate_grid=math.pi / 12, random_candidates=64), rng
+    )[:256]
+    yield "bench-8", candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256]
+    for n, count, seed in ((5, 120, 2), (8, 220, 4)):
+        yield f"random-feet-{n}", random_feet_caps(n, count, seed)
+    yield "signed-zero-ties", SIGNED_ZERO_TIES
+    for n in (4, 5, 6, 7):
+        yield f"del-pezzo-{n}", [cap_of(project(c)) for c in del_pezzo_lines(n)]
+
+
+ROW_SETS = dict(_row_sets())
+
+
+@pytest.mark.parametrize("caps", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_rows_and_the_matrix_give_the_same_verdicts(caps):
+    # greedy_max asks for one row at a time, exact_max reads the matrix:
+    # their delta bits may differ in the last ulp, their verdicts may not
+    z, theta = cap_arrays(caps)
+    adj = _adjacency(z, theta)
+    for i in range(len(caps)):
+        row = search._compatible(z[i:i + 1], theta[i:i + 1], z, theta)[0]
+        assert row.dtype == bool and np.array_equal(row, adj[i]), i
+
+
+@pytest.mark.parametrize("n, grid, count, seed, restarts", [
+    pytest.param(n, grid, count, n + count, 3, id=f"{n}-{grid}-{count}")
+    for n, grid, count in [
+        (2, math.pi / 12, 0), (2, 0.3, 1), (3, math.pi / 12, 64), (3, 0.3, 0),
+        (3, math.pi / 10, 1), (5, math.pi / 12, 64), (8, 0.3, 240),
+    ]
+] + [
+    # the bench's greedy searches
+    pytest.param(3, math.pi / 12, 64, 3000, 8, id="bench-3"),
+    pytest.param(6, math.pi / 12, 64, 3015, 8, id="bench-6"),
+])
+def test_greedy_max_assembles_the_whole_compatibility_matrix(
+    monkeypatch, n, grid, count, seed, restarts
+):
+    # greedy_max must return what the whole compatibility matrix of each
+    # restart's candidates gives, while it asks only for the rows of the
+    # caps it takes: each restart's clique must be the greedy clique of
+    # the matrix of the list candidate_caps draws from the restart's seed,
+    # and the result the best of those cliques by size, ties by the
+    # larger key
+    taken = []
+
+    def clique(row, order):
+        rows = []
+
+        def asked(v):
+            rows.append((v, row(v)))
+            return rows[-1][1]
+
+        chosen = _greedy_clique(asked, order)
+        taken.append((chosen, rows))
+        return chosen
 
     monkeypatch.setattr(search, "_greedy_clique", clique)
-    params = SearchParams(n=n, seed=n + count, restarts=3, candidate_grid=grid, random_candidates=count)
-    greedy_max(params)
-    assert len(seen) == 3
-    for (z, theta), seq in zip(seen, np.random.SeedSequence(params.seed).spawn(3)):
-        ref_z, ref_theta = cap_arrays(candidate_caps(params, np.random.default_rng(seq)))
-        assert z.shape == ref_z.shape and z.tobytes() == ref_z.tobytes()
-        assert theta.shape == ref_theta.shape and theta.tobytes() == ref_theta.tobytes()
+    params = SearchParams(n=n, seed=seed, restarts=restarts, candidate_grid=grid, random_candidates=count)
+    result = greedy_max(params)
+    assert len(taken) == restarts
+    outcomes = []
+    for (chosen, rows), seq in zip(taken, np.random.SeedSequence(seed).spawn(restarts)):
+        z, theta = cap_arrays(candidate_caps(params, np.random.default_rng(seq)))
+        adj = _adjacency(z, theta)
+        assert chosen == _greedy_clique(adj.__getitem__, _greedy_order(z, theta))
+        assert [v for v, _ in rows] == chosen
+        assert all(np.array_equal(row, adj[v]) for v, row in rows)
+        z, theta = z[chosen], theta[chosen]
+        outcomes.append((len(chosen), search._config_key(z, theta), z, theta))
+    _, _, z, theta = max(outcomes, key=lambda o: o[:2])
+    assert result.to_json_dict()["caps"] == [
+        {"z": foot, "theta": t} for foot, t in zip(z.tolist(), theta.tolist())
+    ]
+
+
+def test_greedy_max_breaks_ties_by_the_larger_key(monkeypatch):
+    # each restart takes one stratum cap, a different one each time: all
+    # tie at size 1, and the cap of the largest key wins, not the first
+    picks = [4, 3, 2, 1, 0]
+    taken = iter(picks)
+    monkeypatch.setattr(search, "_greedy_clique", lambda row, order: [next(taken)])
+    params = SearchParams(n=2, seed=1, restarts=len(picks), random_candidates=0)
+    z, theta = search._stratum(params)
+    best = max(picks, key=lambda i: search._config_key(z[i:i + 1], theta[i:i + 1]))
+    assert best != picks[0]
+    assert greedy_max(params).to_json_dict()["caps"] == [
+        {"z": z[best].tolist(), "theta": theta[best]}
+    ]
 
 
 def test_mixed_dimensions_are_refused_plainly():
@@ -749,7 +831,7 @@ def test_known_clique_keeps_the_maximum_size_on_candidate_sets(seed):
         adj = adjacency(caps)
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
         ref = _max_clique_bitset(adj)
-        greedy = _greedy_clique(adj, _greedy_order(*cap_arrays(caps)))
+        greedy = _greedy_clique(adj.__getitem__, _greedy_order(*cap_arrays(caps)))
         for clique in (greedy, ref[::-1]):
             for size in range(len(clique) + 1):
                 found = _max_clique_bitset(adj, clique[:size])
@@ -857,6 +939,26 @@ def test_greedy_max_golden(n, grid, seed, restarts, digest):
     assert sha(greedy_max(params).to_json_dict()) == digest
 
 
+def test_greedy_max_on_a_fine_grid(capsys):
+    # 3962 grid directions: the whole compatibility matrix of a restart
+    # would peak near 400 MiB, the rows of the caps it takes need little
+    argv = ["search", "--n", "3", "--grid", "0.07", "--restarts", "2"]
+    assert main(argv) == 0  # loads the modules the search imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "03a5a1d0a118721dd29f3eaa0d4d001fe8effaf5871cb2a6a09f00020a217b0e"
+    )
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("n, count, seed, digest", [
     (2, 0, 31, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
     (2, 1, 32, "64148557a6ac8532023613457c82ddfd331a105edf5b9aad7b687802890ea4aa"),
@@ -897,12 +999,7 @@ def test_exact_max_golden_on_random_feet(n, count, seed, digest, size):
     # random feet only, half the radii at pi/2: many maximum cliques, so the
     # digest pins which one the engine returns, and the size and the
     # certificate pin what a re-recorded digest must keep
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(count, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    theta = np.where(rng.random(count) < 0.5, HALF, rng.uniform(0.2, HALF, count))
-    caps = [CapRep(z=tuple(row), theta=t) for row, t in zip(z.tolist(), theta.tolist())]
-    result = exact_max(SearchParams(n=n), caps)
+    result = exact_max(SearchParams(n=n), random_feet_caps(n, count, seed))
     assert result.size == size
     assert result.best.certificate.valid
     assert sha(result.to_json_dict()) == digest
