@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="certified configuration search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                   help="echoed only, as the benchmark pins it: no restart changes the result")
     p.add_argument("--grid", type=float, dest="candidate_grid", metavar="GRID",
                    default=argparse.SUPPRESS,
                    help="angular grid resolution in radians")

@@ -5,19 +5,18 @@ A family of caps is valid when every pair passes the angular conditions
 compatibility graph over a candidate set.  The searches here produce
 certified configurations whose size is a lower bound for the largest
 valid family in dimension n (the pi/2-separation kissing count of the
-model): a deterministic seeded greedy over grid-plus-random candidates,
-and an exact branch-and-bound maximum clique for candidate sets small
-enough to afford it.
+model): the greedy search, which builds the 2n cross-polytope caps at
+theta = pi/2 that the greedy clique provably takes from any candidate
+set :func:`candidate_caps` draws, and an exact branch-and-bound maximum
+clique for explicit candidate sets small enough to afford it.
 
 Candidate generation always includes the 2n cross-polytope directions
 with theta = pi/2, the natural extremal stratum: those caps are pairwise
-compatible, so every run certifies at least 2n.
+compatible, so every exact search over such a set certifies at least 2n.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +60,15 @@ MAX_GRID_DIRECTIONS = 4096
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs for the configuration search."""
+    """Knobs for the configuration search.
+
+    :func:`greedy_max` reads only ``n``.  :func:`candidate_caps` reads
+    ``n``, ``candidate_grid`` and ``random_candidates``, and draws from
+    the generator its caller seeds, with ``seed`` by convention.
+    ``restarts`` reaches nothing, since no restart can change the greedy
+    result; it stays only because ``bench/inputs.py`` passes
+    ``--restarts 2`` and ``bench/refs.json`` pins the echoed parameters.
+    """
 
     n: int
     seed: int = 20240601
@@ -361,61 +368,51 @@ def _greedy_order(z: np.ndarray, theta: np.ndarray) -> list[int]:
     return np.lexsort((*z.T[::-1], -theta)).tolist()
 
 
-def _greedy_clique(row, order) -> list[int]:
+def _greedy_clique(adj: np.ndarray, order) -> list[int]:
     """The clique that takes each vertex of ``order``, a permutation of
-    the vertices, adjacent to every vertex taken before it; ``row(v)`` is
-    the boolean adjacency row of v, asked only of the vertices taken."""
+    the vertices, adjacent to every vertex taken before it, read from the
+    rows of the boolean adjacency matrix ``adj``."""
     # vertices adjacent to every vertex chosen so far
     open_ = np.ones(len(order), dtype=bool)
     chosen: list[int] = []
     for idx in order:
         if open_[idx]:
             chosen.append(idx)
-            open_ &= row(idx)
+            open_ &= adj[idx]
     return chosen
 
 
-def _config_key(z: np.ndarray, theta: np.ndarray) -> str:
-    payload = sorted(
-        ([round(x, 12) for x in foot], round(t, 12))
-        for foot, t in zip(z.tolist(), theta.tolist())
-    )
-    blob = json.dumps(payload, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def greedy_max(params: SearchParams) -> SearchResult:
-    """Best greedy clique over ``restarts`` independently seeded candidate
-    draws; deterministic for a fixed seed (the reduction is max by size,
-    ties broken by the larger sha256 of the clique's caps rounded to 12
-    digits).  Each restart computes the compatibility row of each cap it
-    takes against its candidates, and no other verdict.
+    """The 2n cross-polytope caps -e1, ..., -en, +en, ..., +e1, all at
+    theta = pi/2, certified; only ``params.n`` is read.
+
+    This is the greedy clique, in :func:`_greedy_order`, of every
+    candidate set :func:`candidate_caps` draws.  The order takes -e1
+    first.  A cap of any radius is compatible with it only if its foot is
+    at least pi/2 away, so only feet whose first coordinate is at least
+    about -TOL_BOUNDARY stay open; those with first coordinate exactly 0
+    come next, and the same argument inside e1^perp takes -e2, ..., -en,
+    +en, ..., +e2 and then +e1.  After the 2n axes no cap of any radius
+    is open: condition (ii) against both e_i and -e_i needs
+    |z_i| <= ~TOL_BOUNDARY for every i, which no unit foot meets.  The
+    one caveat is a random foot within TOL_BOUNDARY of a coordinate
+    hyperplane, which a draw hits with probability about 1e-9 per
+    coordinate; grid feet are snapped to exact zeros, so grids are
+    covered exactly.  The zeros are +0.0, as in the candidates: a report
+    would print a -0.0.
 
     Raises :class:`NumericalError` if the result exceeds the counting
     bound ``total_bound(n).total``, which no valid family can, and before
     any search if ``total_bound(n)`` does.
     """
     limit = total_bound(params.n).total
-    z0, theta0 = _stratum(params)
-    outcomes = []
-    for seq in np.random.SeedSequence(params.seed).spawn(params.restarts):
-        zr, tr = _random_feet(params, np.random.default_rng(seq))
-        z, theta = np.concatenate([z0, zr]), np.concatenate([theta0, tr])
-        picked = _greedy_clique(
-            lambda v: _compatible(z[v:v + 1], theta[v:v + 1], z, theta)[0],
-            _greedy_order(z, theta),
-        )
-        outcomes.append((z[picked], theta[picked]))
-    size = max(len(o[0]) for o in outcomes)
-    # the key only breaks ties, so only the largest cliques need it
-    z, theta = max(
-        (o for o in outcomes if len(o[0]) == size), key=lambda o: _config_key(*o)
-    )
-    if size > limit:
+    d = _cross_polytope(params.n)
+    feet = d[1::2] + d[-2::-2]
+    if len(feet) > limit:
         raise NumericalError(
-            f"search produced {size} caps, above the counting bound {limit}"
+            f"search produced {len(feet)} caps, above the counting bound {limit}"
         )
-    return _certified_result(_caps(z, theta), "greedy")
+    return _certified_result([CapRep(z=foot, theta=math.pi / 2) for foot in feet], "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +486,19 @@ def _max_clique_bitset(adj: np.ndarray, known=()) -> list[int]:
 def exact_max(params: SearchParams, candidates: list[CapRep]) -> SearchResult:
     """True maximum clique over an explicit candidate set.
 
-    Refuses candidate sets above MAX_CLIQUE_CUTOFF (fall back to
-    :func:`greedy_max` there).  The candidates alone decide the result;
-    ``params`` is not read.  The whole compatibility matrix is built once;
-    the greedy clique in :func:`greedy_max`'s order, read from its rows,
-    is the engine's incumbent, and comes back unless a larger clique
-    exists.
+    Refuses candidate sets above MAX_CLIQUE_CUTOFF.  The candidates alone
+    decide the result; ``params`` is not read.  The whole compatibility
+    matrix is built once; the greedy clique in :func:`_greedy_order`,
+    read from its rows, is the engine's incumbent, and comes back unless
+    a larger clique exists.
     """
     if len(candidates) > MAX_CLIQUE_CUTOFF:
         raise ValueError(
             f"{len(candidates)} candidates exceed the exact-search cutoff "
-            f"{MAX_CLIQUE_CUTOFF}; use greedy_max instead"
+            f"{MAX_CLIQUE_CUTOFF}"
         )
     z, theta = cap_arrays(candidates)
     adj = _adjacency(z, theta)
-    known = _greedy_clique(adj.__getitem__, _greedy_order(z, theta))
+    known = _greedy_clique(adj, _greedy_order(z, theta))
     chosen = sorted(_max_clique_bitset(adj, known))
     return _certified_result([candidates[i] for i in chosen], "exact")

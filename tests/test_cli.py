@@ -236,6 +236,20 @@ def test_search_reports_certified_config(capsys):
     assert out["seed"] == 5
 
 
+def test_search_ignores_a_huge_restart_count(capsys):
+    # no restart can change the result, so none is run: a huge count
+    # finishes and reports what 2 restarts do
+    proc = subprocess.run(
+        [sys.executable, "-m", "negcurve", "search", "--n", "3", "--restarts", "100000000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["search", "--n", "3", "--restarts", "2"]) == 0
+    huge = json.loads(proc.stdout)["outputs"]
+    two = json.loads(capsys.readouterr().out)["outputs"]
+    assert huge["caps"] == two["caps"] and huge["certificate"] == two["certificate"]
+
+
 def test_probe_small(capsys):
     code = main(["probe", "--n", "2", "--samples", "500", "--seed", "3"])
     out = json.loads(capsys.readouterr().out)

@@ -307,12 +307,12 @@ def test_greedy_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def test_greedy_monotone_in_restarts():
-    sizes = []
-    for restarts in (1, 2, 4, 8):
-        params = SearchParams(n=3, seed=7, restarts=restarts)
-        sizes.append(greedy_max(params).size)
-    assert sizes == sorted(sizes)
+def test_restarts_do_not_change_the_result():
+    results = [
+        greedy_max(SearchParams(n=3, seed=7, restarts=restarts)).to_json_dict()
+        for restarts in (1, 2, 4, 8)
+    ]
+    assert all(r == results[0] for r in results)
 
 
 def test_greedy_above_counting_bound_is_numerical_error(monkeypatch):
@@ -345,7 +345,7 @@ def test_exact_max_single_candidate():
 def test_exact_max_cutoff():
     caps = [circle_cap(2 * math.pi * t / 256) for t in range(256)]
     assert exact_max(SearchParams(n=2), caps).size == 4
-    with pytest.raises(ValueError, match="257 candidates exceed .* 256; use greedy_max"):
+    with pytest.raises(ValueError, match="257 candidates exceed the exact-search cutoff 256$"):
         exact_max(SearchParams(n=2), caps + [circle_cap(0.01)])
 
 
@@ -443,7 +443,7 @@ def test_adjacency_and_greedy_match_scalar_oracle(n, grid):
         for idx in order:
             if all(compat[idx][j] for j in chosen):
                 chosen.append(idx)
-        assert _greedy_clique(adj.__getitem__, order) == chosen
+        assert _greedy_clique(adj, order) == chosen
     # the last list is SIGNED_ZERO_TIES
     assert order == [3, 4, 5, 0, 2, 1]
 
@@ -513,8 +513,9 @@ ROW_SETS = dict(_row_sets())
 
 @pytest.mark.parametrize("caps", ROW_SETS.values(), ids=ROW_SETS.keys())
 def test_rows_and_the_matrix_give_the_same_verdicts(caps):
-    # greedy_max asks for one row at a time, exact_max reads the matrix:
-    # their delta bits may differ in the last ulp, their verdicts may not
+    # compatible decides a pair as a one-row block, exact_max reads the
+    # matrix: their delta bits may differ in the last ulp, their verdicts
+    # may not
     z, theta = cap_arrays(caps)
     adj = _adjacency(z, theta)
     for i in range(len(caps)):
@@ -522,71 +523,79 @@ def test_rows_and_the_matrix_give_the_same_verdicts(caps):
         assert row.dtype == bool and np.array_equal(row, adj[i]), i
 
 
-@pytest.mark.parametrize("n, grid, count, seed, restarts", [
-    pytest.param(n, grid, count, n + count, 3, id=f"{n}-{grid}-{count}")
+def lemma_cross_polytope(n):
+    """The 2n axes in the order the greedy takes them: -e1, ..., -en,
+    +en, ..., +e1, each foot a list with +0.0 zeros."""
+    def axis(i, sign):
+        foot = [0.0] * n
+        foot[i] = sign
+        return foot
+
+    return [axis(i, -1.0) for i in range(n)] + [axis(i, 1.0) for i in reversed(range(n))]
+
+
+def assert_is_the_cross_polytope(feet, thetas, n):
+    assert feet == lemma_cross_polytope(n)
+    assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for foot in feet for x in foot)
+    assert thetas == [HALF] * (2 * n)
+
+
+def _lemma_shapes():
+    # single shapes, with no, one or many random candidates
     for n, grid, count in [
         (2, math.pi / 12, 0), (2, 0.3, 1), (3, math.pi / 12, 64), (3, 0.3, 0),
         (3, math.pi / 10, 1), (5, math.pi / 12, 64), (8, 0.3, 240),
-    ]
-] + [
+    ]:
+        yield pytest.param(n, [(grid, count, n + count, 3)], id=f"{n}-{grid}-{count}")
     # the bench's greedy searches
-    pytest.param(3, math.pi / 12, 64, 3000, 8, id="bench-3"),
-    pytest.param(6, math.pi / 12, 64, 3015, 8, id="bench-6"),
-])
-def test_greedy_max_assembles_the_whole_compatibility_matrix(
-    monkeypatch, n, grid, count, seed, restarts
-):
-    # greedy_max must return what the whole compatibility matrix of each
-    # restart's candidates gives, while it asks only for the rows of the
-    # caps it takes: each restart's clique must be the greedy clique of
-    # the matrix of the list candidate_caps draws from the restart's seed,
-    # and the result the best of those cliques by size, ties by the
-    # larger key
-    taken = []
-
-    def clique(row, order):
-        rows = []
-
-        def asked(v):
-            rows.append((v, row(v)))
-            return rows[-1][1]
-
-        chosen = _greedy_clique(asked, order)
-        taken.append((chosen, rows))
-        return chosen
-
-    monkeypatch.setattr(search, "_greedy_clique", clique)
-    params = SearchParams(n=n, seed=seed, restarts=restarts, candidate_grid=grid, random_candidates=count)
-    result = greedy_max(params)
-    assert len(taken) == restarts
-    outcomes = []
-    for (chosen, rows), seq in zip(taken, np.random.SeedSequence(seed).spawn(restarts)):
-        z, theta = cap_arrays(candidate_caps(params, np.random.default_rng(seq)))
-        adj = _adjacency(z, theta)
-        assert chosen == _greedy_clique(adj.__getitem__, _greedy_order(z, theta))
-        assert [v for v, _ in rows] == chosen
-        assert all(np.array_equal(row, adj[v]) for v, row in rows)
-        z, theta = z[chosen], theta[chosen]
-        outcomes.append((len(chosen), search._config_key(z, theta), z, theta))
-    _, _, z, theta = max(outcomes, key=lambda o: o[:2])
-    assert result.to_json_dict()["caps"] == [
-        {"z": foot, "theta": t} for foot, t in zip(z.tolist(), theta.tolist())
-    ]
+    yield pytest.param(3, [(math.pi / 12, 64, 3000, 8)], id="bench-3")
+    yield pytest.param(6, [(math.pi / 12, 64, 3015, 8)], id="bench-6")
+    # every shape of ROADMAP item 20's measurement, by n: seeds 0-5, the
+    # grids at n <= 3 (above it there is no grid), 0, 7, 64 or 240 random
+    # candidates, 3 restarts
+    for n in range(2, 9):
+        grids = (math.pi / 12, math.pi / 10, 0.3, 1.0) if n <= 3 else (math.pi / 12,)
+        yield pytest.param(
+            n, [(grid, count, seed, 3) for seed in range(6) for grid in grids
+                for count in (0, 7, 64, 240)],
+            id=f"n{n}",
+        )
 
 
-def test_greedy_max_breaks_ties_by_the_larger_key(monkeypatch):
-    # each restart takes one stratum cap, a different one each time: all
-    # tie at size 1, and the cap of the largest key wins, not the first
-    picks = [4, 3, 2, 1, 0]
-    taken = iter(picks)
-    monkeypatch.setattr(search, "_greedy_clique", lambda row, order: [next(taken)])
-    params = SearchParams(n=2, seed=1, restarts=len(picks), random_candidates=0)
-    z, theta = search._stratum(params)
-    best = max(picks, key=lambda i: search._config_key(z[i:i + 1], theta[i:i + 1]))
-    assert best != picks[0]
-    assert greedy_max(params).to_json_dict()["caps"] == [
-        {"z": z[best].tolist(), "theta": theta[best]}
-    ]
+@pytest.mark.parametrize("n, shapes", _lemma_shapes())
+def test_greedy_max_assembles_the_whole_compatibility_matrix(n, shapes):
+    # greedy_max must return what the greedy over the whole compatibility
+    # matrix of each restart's candidates gives; that restart search is the
+    # reference: each restart draws candidate_caps from a seed spawned off
+    # the search seed, builds their whole compatibility matrix and takes
+    # the greedy clique in decreasing theta, then foot order.  By the lemma
+    # every restart takes the cross-polytope in its order, +0.0 zeros
+    # included, and greedy_max must build exactly that
+    for grid, count, seed, restarts in shapes:
+        params = SearchParams(
+            n=n, seed=seed, restarts=restarts, candidate_grid=grid, random_candidates=count
+        )
+        for seq in np.random.SeedSequence(seed).spawn(restarts):
+            z, theta = cap_arrays(candidate_caps(params, np.random.default_rng(seq)))
+            chosen = _greedy_clique(_adjacency(z, theta), _greedy_order(z, theta))
+            assert_is_the_cross_polytope(z[chosen].tolist(), theta[chosen].tolist(), n)
+        caps = greedy_max(params).to_json_dict()["caps"]
+        assert_is_the_cross_polytope([c["z"] for c in caps], [c["theta"] for c in caps], n)
+
+
+def test_greedy_max_builds_the_cross_polytope_without_a_search(monkeypatch):
+    # no random draw and no compatibility verdict: only the certificate
+    def refuse(*args):
+        raise AssertionError("greedy_max searched")
+
+    monkeypatch.setattr(search, "_random_feet", refuse)
+    monkeypatch.setattr(search, "_compatible", refuse)
+    for n in range(2, 13):
+        result = greedy_max(SearchParams(n=n)).to_json_dict()
+        assert result["size"] == 2 * n and result["method"] == "greedy"
+        assert result["certificate"]["valid"]
+        caps = result["caps"]
+        assert_is_the_cross_polytope([c["z"] for c in caps], [c["theta"] for c in caps], n)
 
 
 def test_mixed_dimensions_are_refused_plainly():
@@ -831,7 +840,7 @@ def test_known_clique_keeps_the_maximum_size_on_candidate_sets(seed):
         adj = adjacency(caps)
         masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
         ref = _max_clique_bitset(adj)
-        greedy = _greedy_clique(adj.__getitem__, _greedy_order(*cap_arrays(caps)))
+        greedy = _greedy_clique(adj, _greedy_order(*cap_arrays(caps)))
         for clique in (greedy, ref[::-1]):
             for size in range(len(clique) + 1):
                 found = _max_clique_bitset(adj, clique[:size])
