@@ -68,6 +68,74 @@ def del_pezzo_lines(r):
     return lines
 
 
+def lowest_bit_max_clique(adj: np.ndarray, known=()) -> list[int]:
+    """Reference for the exact clique engine: `search._max_clique_bitset`
+    as it was with renumbered vertex i as bit i, each set's lowest-numbered
+    vertex taken as its lowest bit.  The engine must walk the same tree.
+
+    A maximum clique of the graph with the symmetric boolean adjacency
+    matrix ``adj`` (false diagonal), as a list of vertex indices.
+
+    BBMC (San Segundo et al. 2011, after MCS, Tomita et al. 2010): the
+    vertices are renumbered by non-increasing degree, the incumbent starts
+    as ``known``, a clique the caller already has (ValueError if it is
+    not; the empty clique by default), and each node colors its candidates
+    greedily and branches, highest color first, only on those whose color
+    can still beat the incumbent.  The incumbent comes back unless a
+    larger clique exists.  Rows are Python-int bitsets, since numpy shifts
+    overflow past bit 63.
+    """
+    k = len(adj)
+    known = np.asarray(known, dtype=int)
+    if (
+        ((known < 0) | (known >= k)).any()
+        or not (adj[np.ix_(known, known)] | np.eye(len(known), dtype=bool)).all()
+    ):
+        raise ValueError(f"known vertices {known.tolist()} are not a clique")
+    # renumber by non-increasing degree, ties by index: vertex i of the
+    # renumbered graph is vertex order[i]
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    adj = adj[np.ix_(order, order)]
+    best = np.argsort(order)[known].tolist()
+    adj = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(adj, axis=1, bitorder="little")
+    ]
+
+    def expand(r: list[int], p: int):
+        nonlocal best
+        # a vertex of color <= floor cannot lift r past the incumbent: it is
+        # colored, stays in p for the subtrees, but is never branched on
+        floor = len(best) - len(r)
+        branch = []
+        color = 0
+        uncolored = p
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~adj[v] ^ low
+                uncolored ^= low
+                if color > floor:
+                    branch.append((low, v, color))
+        for low, v, bound in reversed(branch):
+            if len(r) + bound <= len(best):
+                return
+            r.append(v)
+            sub = p & adj[v]
+            if sub:
+                expand(r, sub)
+            elif len(r) > len(best):
+                best = list(r)
+            r.pop()
+            p ^= low
+
+    expand([], (1 << k) - 1)
+    return [int(order[v]) for v in best]
+
+
 def iii_witness(n1, n2, h):
     """The closed-form witness that (III) fails for negative norms n1, n2
     and pairing h: the integer point (a, b) = (h, -n1)/gcd on the ray of

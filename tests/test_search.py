@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import del_pezzo_lines
+from conftest import del_pezzo_lines, lowest_bit_max_clique
 from negcurve import search
 from negcurve.cli import main
 from negcurve.conditions import ModelFamily, PairVerdict, cap_arrays
@@ -469,6 +470,25 @@ def test_max_clique_bitset_past_bit_63():
         masks[b] |= 1 << a
     assert sorted(_max_clique_bitset(as_matrix(masks))) == list(range(64, 70))
 
+    # at k = 127 and 129 the packed rows are shifted by the byte padding.
+    # The only K_6 sits on the first six vertices beside a path (degree
+    # <= 2), so it comes first in degree order and holds the top bit; or on
+    # the last six beside a complete bipartite graph (cliques of 2), so it
+    # comes last and holds bit 0
+    for k in (127, 128, 129, 256):
+        for first in (True, False):
+            clique = np.arange(6) if first else np.arange(k - 6, k)
+            rest = np.arange(6, k) if first else np.arange(k - 6)
+            adj = np.zeros((k, k), dtype=bool)
+            adj[np.ix_(clique, clique)] = True
+            if first:
+                adj[rest[:-1], rest[1:]] = True
+            else:
+                adj[np.ix_(rest[::2], rest[1::2])] = True
+            adj = np.triu(adj, 1)
+            adj |= adj.T
+            assert sorted(_max_clique_bitset(adj)) == clique.tolist(), (k, first)
+
 
 def test_compatible_agrees_with_the_matrix_on_a_bench_style_set():
     # the one-pair block and the whole matrix decide every pair alike
@@ -870,6 +890,70 @@ def test_max_clique_bitset_matches_color_order_oracle_on_candidate_sets(seed):
         clique = _max_clique_bitset(adj)
         assert is_clique(masks, clique)
         assert len(clique) == len(color_order_max_clique(masks))
+
+
+def expand_calls(engine, adj, known=()):
+    """The clique ``engine`` returns, and how many times it called a
+    function named ``expand``, its branch-and-bound node."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "expand":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        found = engine(adj, known)
+    finally:
+        sys.setprofile(None)
+    return found, calls
+
+
+def same_tree_graphs(kind):
+    """(adjacency, known clique) pairs of one kind."""
+    if kind == "planted":
+        # the graphs of test_known_clique_is_the_incumbent_on_random_graphs,
+        # with every prefix of every maximum clique
+        rng = np.random.default_rng(2024)
+        for _ in range(240):
+            adj = planted_graph(rng)
+            yield adj, []
+            masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in adj]
+            for clique in maximum_cliques(masks):
+                for size in range(1, len(clique) + 1):
+                    yield adj, clique[:size]
+    elif kind == "random":
+        rng = np.random.default_rng(37)
+        for k in range(141):
+            # denser graphs past 70 vertices take seconds each
+            adj = np.triu(rng.random((k, k)) < rng.uniform(0.05, 0.95 if k <= 70 else 0.6), 1)
+            yield adj | adj.T, []
+    else:
+        if kind == "candidate_sets":
+            sets = []
+            for seed in (0, 1, 2):
+                rng = np.random.default_rng(seed)
+                sets.append(candidate_caps(
+                    SearchParams(n=3, candidate_grid=0.3, random_candidates=64), rng
+                )[:256])
+                sets.append(candidate_caps(SearchParams(n=8, random_candidates=240), rng)[:256])
+        else:
+            sets = [[cap_of(project(c)) for c in del_pezzo_lines(n)] for n in range(4, 8)]
+        for caps in sets:
+            adj = adjacency(caps)
+            yield adj, []
+            yield adj, _greedy_clique(adj, _greedy_order(*cap_arrays(caps)))
+
+
+@pytest.mark.parametrize("kind", ["planted", "random", "candidate_sets", "del_pezzo"])
+def test_max_clique_bitset_walks_the_lowest_bit_tree(kind):
+    # the same nodes in the same order as the lowest-bit reference, so the
+    # same clique in the same list order and as many expand calls
+    for adj, known in same_tree_graphs(kind):
+        assert expand_calls(_max_clique_bitset, adj, known) == expand_calls(
+            lowest_bit_max_clique, adj, known
+        ), (len(adj), known)
 
 
 # ---------------------------------------------------------------------------
